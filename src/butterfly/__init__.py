@@ -14,15 +14,12 @@ from .construct import (block_diagonal_probe, factorize,
 from .factors import (BlockDiagonalFactor, ButterflyFactors, MiddleFactor,
                       NnzReport, TransferFactor, factors_equal)
 from .kernels import (ComposedOperator, DftKernel, FioKernel, HankelKernel,
-                      composed_matvec, dense_matrix, dft_apply, fio_entry,
-                      hankel_entry)
-from .lowrank import (FactorFormA, LowRankApprox, OversamplingParams,
-                      randomized_sampling_svd, randomized_svd, to_form_a,
-                      to_form_scaled_u, to_form_scaled_v, truncated_svd)
+                      dense_matrix, dft_apply)
+from .lowrank import (LowRankApprox, OversamplingParams,
+                      randomized_sampling_svd, randomized_svd, truncated_svd)
 from .oracles import (BlockView, DenseOracle, EntryFunctionOracle,
                       OracleError)
-from .partition import BlockId, DyadicPartition, block_cols, block_rows, \
-    make_partition
+from .partition import DyadicPartition, make_partition
 from .storage import (FormatError, load_factors, read_vector, save_factors,
                       write_vector)
 

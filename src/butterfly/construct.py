@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factors import (BlockDiagonalFactor, ButterflyFactors, MiddleFactor,
-                      TransferFactor)
+                      TransferFactor, chain_geometry)
 from .lowrank import (DEFAULT_PARAMS, complex_normal, floored_inverse,
                       randomized_sampling_svd, svd_from_probes)
 from .oracles import BlockView, OracleError, is_entry_oracle, is_operator_oracle
@@ -127,45 +127,23 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int,
 def _recurse(cur: np.ndarray, p: DyadicPartition, r: int):
     """Refactor a stack of diagonal blocks down to the leaf level.
 
-    ``cur`` is (nodes, rows, groups, r).  Returns the leaf block stack and a
-    list of (level, block_array) transfer pieces; splitting levels emit
-    (nodes, 2, pairs, r, 2r) arrays, merge-only levels (nodes, pairs, r, 2r).
+    ``cur`` is (nodes, rows, groups, r), any whole number of middle nodes.
+    Each level pairs sibling column groups, splits the rows as
+    :func:`chain_geometry` says, and keeps the leading k_out singular
+    directions of every (rows per output node) x 2k_in block.  Returns the
+    leaf block stack and a list of (level, (nodes, t, pairs, k_out, 2k_in))
+    transfer pieces.
     """
     pieces = []
-    for lvl in range(p.half, p.levels):
-        nb, rows, groups, _ = cur.shape
-        pairs = groups // 2
-        if rows >= 2:
-            half = rows // 2
-            paired = cur.reshape(nb, rows, pairs, 2 * r)
-            stacked = np.stack(
-                [paired[:, :half].transpose(0, 2, 1, 3),
-                 paired[:, half:].transpose(0, 2, 1, 3)],
-                axis=1,
-            )  # (nb, 2, pairs, half, 2r)
-            uu, ss, vh = np.linalg.svd(stacked, full_matrices=False)
-            keep = min(r, half, 2 * r)
-            g_blocks = np.zeros((nb, 2, pairs, r, 2 * r), dtype=np.complex128)
-            g_blocks[..., :keep, :] = vh[..., :keep, :]
-            new_u = np.zeros((nb, 2, pairs, half, r), dtype=np.complex128)
-            new_u[..., :keep] = uu[..., :keep] * ss[..., None, :keep]
-            pieces.append((lvl, g_blocks))
-            cur = new_u.transpose(0, 1, 3, 2, 4).reshape(2 * nb, half, pairs, r)
-        else:
-            paired = cur.reshape(nb, 1, pairs, 2 * r).transpose(0, 2, 1, 3)
-            uu, ss, vh = np.linalg.svd(paired, full_matrices=False)
-            g_blocks = np.zeros((nb, pairs, r, 2 * r), dtype=np.complex128)
-            g_blocks[..., :1, :] = vh
-            new_u = np.zeros((nb, pairs, 1, r), dtype=np.complex128)
-            new_u[..., :1] = uu * ss[..., None, :]
-            pieces.append((lvl, g_blocks))
-            cur = new_u.transpose(0, 2, 1, 3)
+    for lvl, (_, t, pairs, k_out, two_k) in chain_geometry(p, r)[0]:
+        nb, rows = cur.shape[:2]
+        half = rows // t
+        stacked = cur.reshape(nb, t, half, pairs, two_k).swapaxes(2, 3)
+        uu, ss, vh = np.linalg.svd(stacked, full_matrices=False)
+        pieces.append((lvl, np.ascontiguousarray(vh[..., :k_out, :])))
+        new_u = uu[..., :k_out] * ss[..., None, :k_out]  # (nb, t, pairs, half, k)
+        cur = new_u.swapaxes(2, 3).reshape(nb * t, half, pairs, k_out)
     return np.ascontiguousarray(cur[:, :, 0, :]), pieces
-
-
-def _chain_from_pieces(pieces) -> tuple:
-    return tuple(TransferFactor(lvl, np.ascontiguousarray(blocks))
-                 for lvl, blocks in pieces)
 
 
 def recursive_factor_u(u_h: BlockDiagonalFactor, p: DyadicPartition, r: int):
@@ -173,7 +151,8 @@ def recursive_factor_u(u_h: BlockDiagonalFactor, p: DyadicPartition, r: int):
     m, side = p.mid_nodes, p.mid_side
     cur = u_h.blocks.reshape(m, side, m, r)
     leaf, pieces = _recurse(cur, p, r)
-    return BlockDiagonalFactor(leaf), _chain_from_pieces(pieces)
+    return (BlockDiagonalFactor(leaf),
+            tuple(TransferFactor(lvl, blocks) for lvl, blocks in pieces))
 
 
 def recursive_factor_v(v_h: BlockDiagonalFactor, p: DyadicPartition, r: int):
@@ -213,28 +192,14 @@ def factorize(oracle, p: DyadicPartition, r: int, params=DEFAULT_PARAMS,
     return ButterflyFactors(p, r, u_outer, g_chain, middle, h_chain, v_outer)
 
 
-def _level_geometry(p: DyadicPartition, r: int):
-    """Full-size transfer/leaf array shapes for preallocation."""
-    shapes = []
-    rows, nodes = p.mid_side, p.mid_nodes
-    for lvl in range(p.half, p.levels):
-        pairs = 2 ** (p.levels - lvl - 1)
-        if rows >= 2:
-            shapes.append((lvl, True, (nodes, 2, pairs, r, 2 * r)))
-            nodes, rows = 2 * nodes, rows // 2
-        else:
-            shapes.append((lvl, False, (nodes, pairs, r, 2 * r)))
-    return shapes, (nodes, rows, r)
-
-
 def _factorize_streaming(entry, p, r, params, seed) -> ButterflyFactors:
     m, side = _middle_shapes(p, r)
     weights = np.zeros((m, m, r))
     sides = []
     for axis in ("u", "v"):
-        shapes, leaf_shape = _level_geometry(p, r)
+        shapes, leaf_shape = chain_geometry(p, r)
         chain = {lvl: np.zeros(shape, dtype=np.complex128)
-                 for lvl, _, shape in shapes}
+                 for lvl, shape in shapes}
         leaf = np.zeros(leaf_shape, dtype=np.complex128)
         for k in range(m):
             slab = np.zeros((1, side, m, r), dtype=np.complex128)
@@ -253,7 +218,7 @@ def _factorize_streaming(entry, p, r, params, seed) -> ButterflyFactors:
             nb = leaf_k.shape[0]
             leaf[k * nb:(k + 1) * nb] = leaf_k
         sides.append((BlockDiagonalFactor(leaf),
-                      tuple(TransferFactor(lvl, chain[lvl]) for lvl, _, _ in shapes)))
+                      tuple(TransferFactor(lvl, chain[lvl]) for lvl, _ in shapes)))
     (u_outer, g_chain), (v_outer, h_chain) = sides
     return ButterflyFactors(p, r, u_outer, g_chain, MiddleFactor(weights),
                             h_chain, v_outer)

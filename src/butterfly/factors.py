@@ -6,9 +6,9 @@ A factorization of an n-by-n operator K is the product
 
 held here as structured block arrays rather than generic sparse matrices:
 every block at one level has the same shape, so applying a level is one
-batched matmul.  Levels at depth >= log2(n) no longer split rows (nodes
-already hold a single index); those transfer factors only merge column
-groups and carry a reduced block set.
+batched matmul.  Each level keeps only the rank its nodes can carry,
+min(r, rows per node), so the arrays hold no zero padding;
+:func:`chain_geometry` is the one place that fixes those shapes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partition import DyadicPartition
+
+
+def chain_geometry(p: DyadicPartition, r: int):
+    """Block shapes of one side of the chain for middle rank ``r``.
+
+    Returns ``([(level, (nodes, t, pairs, k_out, 2*k_in))], leaf_shape)``
+    for the transfer levels half .. levels-1 in ascending order, and the
+    leaf ``(nodes, rows, k)``.  A level splits each node's rows in two
+    (t = 2) until nodes hold a single index, then only merges column groups
+    (t = 1); it keeps k_out = min(r, rows per output node).
+    """
+    shapes = []
+    nodes, rows, k = p.mid_nodes, p.mid_side, r
+    for lvl in range(p.half, p.levels):
+        t = 2 if rows >= 2 else 1
+        rows //= t
+        k_out = min(r, rows)
+        shapes.append((lvl, (nodes, t, 2 ** (p.levels - lvl - 1), k_out, 2 * k)))
+        nodes, k = nodes * t, k_out
+    return shapes, (nodes, rows, k)
+
+
+def _dense(shape, blocks) -> np.ndarray:
+    out = np.zeros(shape, dtype=np.complex128)
+    for r0, c0, blk in blocks:
+        out[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
+    return out
 
 
 @dataclass(frozen=True)
@@ -41,10 +68,7 @@ class BlockDiagonalFactor:
             yield b * rows, b * cols, self.blocks[b]
 
     def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.complex128)
-        for r0, c0, blk in self.iter_blocks():
-            out[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
-        return out
+        return _dense(self.shape, self.iter_blocks())
 
     def forward(self, w: np.ndarray) -> np.ndarray:
         nb, rows, cols = self.blocks.shape
@@ -58,28 +82,16 @@ class BlockDiagonalFactor:
 
 @dataclass(frozen=True)
 class TransferFactor:
-    """One level of the recursive chain: r x 2r blocks merging sibling groups.
+    """One level of the recursive chain: k_out x 2k_in blocks merging pairs
+    of sibling column groups.
 
-    At a splitting level the block array is (groups, 2, pairs, r, 2r); the
-    diagonal group for input node i holds the blocks of output nodes 2i (top
-    half) and 2i+1 (bottom half).  At a merge-only level (input nodes already
-    single-index) it is (nodes, pairs, r, 2r).
+    ``blocks`` is (nodes, t, pairs, k_out, 2*k_in).  Input node i holds
+    ``pairs`` pairs of k_in-wide column groups; block [i, s, j] maps pair j
+    of node i to the rank-k_out group j of output node t*i + s.
     """
 
     level: int
     blocks: np.ndarray
-
-    @property
-    def splits(self) -> bool:
-        return self.blocks.ndim == 5
-
-    @property
-    def rank(self) -> int:
-        return self.blocks.shape[-2]
-
-    @property
-    def pairs(self) -> int:
-        return self.blocks.shape[-3]
 
     @property
     def nnz(self) -> int:
@@ -87,59 +99,30 @@ class TransferFactor:
 
     @property
     def shape(self):
-        r, p = self.rank, self.pairs
-        if self.splits:
-            g = self.blocks.shape[0]
-            return (2 * g * p * r, 2 * g * p * r)
-        nodes = self.blocks.shape[0]
-        return (nodes * p * r, 2 * nodes * p * r)
+        nodes, t, pairs, k_out, two_k = self.blocks.shape
+        return (nodes * t * pairs * k_out, nodes * pairs * two_k)
 
     def iter_blocks(self):
-        r, p = self.rank, self.pairs
-        if self.splits:
-            g = self.blocks.shape[0]
-            for i in range(g):
-                for t in range(2):
-                    for j in range(p):
-                        yield ((2 * i + t) * p * r + j * r,
-                               i * 2 * p * r + 2 * j * r,
-                               self.blocks[i, t, j])
-        else:
-            for node in range(self.blocks.shape[0]):
-                for j in range(p):
-                    yield (node * p * r + j * r,
-                           node * 2 * p * r + 2 * j * r,
-                           self.blocks[node, j])
+        nodes, t, pairs, k_out, two_k = self.blocks.shape
+        for i in range(nodes):
+            for s in range(t):
+                for j in range(pairs):
+                    yield (((i * t + s) * pairs + j) * k_out,
+                           (i * pairs + j) * two_k, self.blocks[i, s, j])
 
     def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.complex128)
-        for r0, c0, blk in self.iter_blocks():
-            out[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
-        return out
+        return _dense(self.shape, self.iter_blocks())
 
     def forward(self, w: np.ndarray) -> np.ndarray:
-        r, p = self.rank, self.pairs
-        k = w.shape[-1]
-        if self.splits:
-            g = self.blocks.shape[0]
-            win = w.reshape(g, 1, p, 2 * r, k)
-            return (self.blocks @ win).reshape(2 * g * p * r, k)
-        nodes = self.blocks.shape[0]
-        win = w.reshape(nodes, p, 2 * r, k)
-        return (self.blocks @ win).reshape(nodes * p * r, k)
+        nodes, t, pairs, k_out, two_k = self.blocks.shape
+        win = w.reshape(nodes, 1, pairs, two_k, -1)
+        return (self.blocks @ win).reshape(nodes * t * pairs * k_out, -1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        r, p = self.rank, self.pairs
-        k = w.shape[-1]
-        bstar = self.blocks.conj().swapaxes(-1, -2)
-        if self.splits:
-            g = self.blocks.shape[0]
-            win = w.reshape(g, 2, p, r, k)
-            out = (bstar @ win).sum(axis=1)
-            return out.reshape(g * p * 2 * r, k)
-        nodes = self.blocks.shape[0]
-        win = w.reshape(nodes, p, r, k)
-        return (bstar @ win).reshape(nodes * p * 2 * r, k)
+        nodes, t, pairs, k_out, two_k = self.blocks.shape
+        win = w.reshape(nodes, t, pairs, k_out, -1)
+        out = (self.blocks.conj().swapaxes(-1, -2) @ win).sum(axis=1)
+        return out.reshape(nodes * pairs * two_k, -1)
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,6 @@ class FioKernel:
         return np.exp(2j * np.pi * phase)
 
 
-def fio_entry(n: int, i: int, j: int) -> complex:
-    return complex(FioKernel(n).block([i], [j])[0, 0])
-
-
 class HankelKernel:
     """K[i, j] = H1_j(x_i) with x_i = n + (2*pi/3)*i, bounded away from zero.
 
@@ -77,11 +73,6 @@ class HankelKernel:
         for a, i in enumerate(rows):
             out[a] = self._rows[int(i)][cols]
         return out
-
-
-def hankel_entry(n: int, i: int, j: int) -> complex:
-    x = n + (2.0 * np.pi / 3.0) * i
-    return complex(hankel1_orders(np.array([x]), j)[0, j])
 
 
 class DftKernel:
@@ -148,7 +139,3 @@ class ComposedOperator:
         k = self.k_factors
         inner = self.n * dft_apply(self.n, k.apply_adjoint(x), "inverse")
         return k.apply_adjoint(inner)
-
-
-def composed_matvec(c: ComposedOperator, g: np.ndarray, adjoint: bool = False):
-    return c.apply_adjoint(g) if adjoint else c.apply(g)

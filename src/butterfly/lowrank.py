@@ -1,4 +1,4 @@
-"""Fixed-rank approximation engines and the factor forms derived from them.
+"""Fixed-rank approximation engines.
 
 Three routes to a rank-r approximate SVD ``Z ~ u0 @ diag(sigma0) @ v0*``:
 
@@ -65,15 +65,6 @@ class LowRankApprox:
 
     def matrix(self) -> np.ndarray:
         return (self.u0 * self.sigma0) @ self.v0.conj().T
-
-
-@dataclass(frozen=True)
-class FactorFormA:
-    """CUR-style split u @ s @ vstar with the singular values on both sides."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vstar: np.ndarray
 
 
 def floored_inverse(sigma: np.ndarray) -> np.ndarray:
@@ -256,25 +247,6 @@ def randomized_sampling_svd(entry, m, n, r, params=DEFAULT_PARAMS, rng=None) -> 
                                 min(width, n), pad=False, rel_tol=BASIS_TRIM)
     mid = pinv_floored(q_col[rows, :]) @ entry(rows, cols) @ pinv_floored(q_row[cols, :].conj().T)
     return _assemble(mid, q_col, q_row, r)
-
-
-def to_form_a(a: LowRankApprox) -> FactorFormA:
-    """Split off the singular values on both sides; middle holds 1/sigma."""
-    return FactorFormA(
-        u=a.u0 * a.sigma0,
-        s=np.diag(floored_inverse(a.sigma0)),
-        vstar=a.sigma0[:, None] * a.v0.conj().T,
-    )
-
-
-def to_form_scaled_u(a: LowRankApprox):
-    """(u0 * sigma0, v0*): singular values carried by the left factor."""
-    return a.u0 * a.sigma0, a.v0.conj().T
-
-
-def to_form_scaled_v(a: LowRankApprox):
-    """(u0, sigma0 * v0*): singular values carried by the right factor."""
-    return a.u0.copy(), a.sigma0[:, None] * a.v0.conj().T
 
 
 def _union(sampled: np.ndarray, kept: np.ndarray) -> np.ndarray:

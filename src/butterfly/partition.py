@@ -48,14 +48,9 @@ class DyadicPartition:
         return self.n // self.mid_nodes
 
     @property
-    def point_levels(self) -> int:
-        """Depth at which nodes hold exactly one index."""
-        return self.n.bit_length() - 1
-
-    @property
     def leaf_size(self):
         """n / 2**levels; below 1 when the tree outruns the index grid."""
-        if self.levels <= self.point_levels:
+        if 2 ** self.levels <= self.n:
             return self.n >> self.levels
         return self.n / 2 ** self.levels
 
@@ -68,15 +63,6 @@ class DyadicPartition:
         start = -((-i * self.n) // scale)
         stop = -((-(i + 1) * self.n) // scale)
         return range(start, stop)
-
-
-@dataclass(frozen=True)
-class BlockId:
-    """Names the block K[rows(level, row_node), cols(levels - level, col_node)]."""
-
-    level: int
-    row_node: int
-    col_node: int
 
 
 def make_partition(n, target_leaf) -> DyadicPartition:
@@ -104,11 +90,3 @@ def make_partition(n, target_leaf) -> DyadicPartition:
             f"leaf for n={n}; admissible n start at {2 ** max(2, int(4 * target_leaf).bit_length() - 1)}"
         )
     return DyadicPartition(n, levels)
-
-
-def block_rows(p: DyadicPartition, ident: BlockId) -> range:
-    return p.node_range(ident.level, ident.row_node)
-
-
-def block_cols(p: DyadicPartition, ident: BlockId) -> range:
-    return p.node_range(p.levels - ident.level, ident.col_node)

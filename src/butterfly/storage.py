@@ -1,6 +1,6 @@
 """Bit-exact binary serialization of factor chains and vectors.
 
-Factor file layout (all little-endian):
+Factor file layout (all little-endian), version 2:
 
     magic "BFAC" | version u32 | n u64 | levels u32 | rank u32 | count u32
     then per factor:
@@ -12,29 +12,37 @@ Factor file layout (all little-endian):
     stores rows*cols complex values as (re, im) f64 pairs, column-major.
 
 Factors appear in product order: leaf-left, transfer-left descending by
-level, middle, transfer-right ascending, leaf-right.  Vector files are a u64
-length followed by that many complex f64 pairs.
+level, middle, transfer-right ascending, leaf-right.  Block shapes follow
+:func:`~butterfly.factors.chain_geometry`: a transfer level stores
+k_out x 2k_in blocks with k_out = min(rank, rows per output node), a leaf
+rows x k blocks.  Version 1 files (zero-padded rank x 2*rank transfer
+blocks) are rejected.  Vector files are a u64 length followed by that many
+complex f64 pairs.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .construct import _level_geometry
 from .factors import (BlockDiagonalFactor, ButterflyFactors, MiddleFactor,
-                      TransferFactor)
+                      TransferFactor, chain_geometry)
 from .partition import DyadicPartition
 
 MAGIC = b"BFAC"
-VERSION = 1
+VERSION = 2
 
 KIND_U_OUTER = 0
 KIND_G = 1
 KIND_MIDDLE = 2
 KIND_H = 3
 KIND_V_OUTER = 4
+
+_HEADER = "<IQII"
+_FACTOR_HEADER = "<BIQ"
+_BLOCK_HEADER = "<QQII"
 
 
 class FormatError(ValueError):
@@ -62,9 +70,19 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _file_order(f: ButterflyFactors):
+    """(kind, level, factor) in the order the file stores them."""
+    p = f.partition
+    return ([(KIND_U_OUTER, p.levels, f.u_outer)]
+            + [(KIND_G, tf.level, tf) for tf in reversed(f.g_chain)]
+            + [(KIND_MIDDLE, p.half, f.middle)]
+            + [(KIND_H, tf.level, tf) for tf in f.h_chain]
+            + [(KIND_V_OUTER, p.levels, f.v_outer)])
+
+
 def _write_factor(out, kind: int, level: int, factor):
     blocks = list(factor.iter_blocks())
-    out.append(struct.pack("<BIQ", kind, level, len(blocks)))
+    out.append(struct.pack(_FACTOR_HEADER, kind, level, len(blocks)))
     for row_off, col_off, payload in blocks:
         if kind == KIND_MIDDLE:
             rows = cols = payload.shape[0]
@@ -72,25 +90,49 @@ def _write_factor(out, kind: int, level: int, factor):
         else:
             rows, cols = payload.shape
             data = np.asarray(payload, dtype="<c16").tobytes(order="F")
-        out.append(struct.pack("<QQII", row_off, col_off, rows, cols))
+        out.append(struct.pack(_BLOCK_HEADER, row_off, col_off, rows, cols))
         out.append(data)
 
 
 def save_factors(f: ButterflyFactors, path) -> None:
     """Write the chain so that save -> load -> save is byte-identical."""
-    chunks = [MAGIC, struct.pack("<IQII", VERSION, f.n, f.partition.levels,
-                                 f.rank)]
-    count = 3 + len(f.g_chain) + len(f.h_chain)
-    chunks.append(struct.pack("<I", count))
-    _write_factor(chunks, KIND_U_OUTER, f.partition.levels, f.u_outer)
-    for tf in reversed(f.g_chain):
-        _write_factor(chunks, KIND_G, tf.level, tf)
-    _write_factor(chunks, KIND_MIDDLE, f.partition.half, f.middle)
-    for tf in f.h_chain:
-        _write_factor(chunks, KIND_H, tf.level, tf)
-    _write_factor(chunks, KIND_V_OUTER, f.partition.levels, f.v_outer)
+    order = _file_order(f)
+    chunks = [MAGIC, struct.pack(_HEADER, VERSION, f.n, f.partition.levels,
+                                 f.rank),
+              struct.pack("<I", len(order))]
+    for kind, level, factor in order:
+        _write_factor(chunks, kind, level, factor)
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
+
+
+def _file_size(p: DyadicPartition, rank: int) -> int:
+    """Byte length of a version-2 file for this geometry."""
+    shapes, leaf_shape = chain_geometry(p, rank)
+    fixed = len(MAGIC) + struct.calcsize(_HEADER) + 4
+    per_factor = struct.calcsize(_FACTOR_HEADER)
+    per_block = struct.calcsize(_BLOCK_HEADER)
+
+    def complex_factor(shape):
+        blocks = math.prod(shape[:-2])
+        return per_factor + blocks * (per_block + 16 * shape[-2] * shape[-1])
+
+    middle = per_factor + p.mid_nodes ** 2 * (per_block + 8 * rank)
+    return (fixed + 2 * complex_factor(leaf_shape) + middle
+            + 2 * sum(complex_factor(shape) for _, shape in shapes))
+
+
+def _header_partition(n: int, levels: int, rank: int) -> DyadicPartition:
+    # bound the depth first: DyadicPartition evaluates 2**(levels // 2)
+    if levels > 2 * n.bit_length():
+        raise FormatError(f"tree depth {levels} too deep for n={n}", 16)
+    try:
+        p = DyadicPartition(n, levels)
+    except ValueError as exc:
+        raise FormatError(f"bad geometry: {exc}", 8) from exc
+    if not 1 <= rank <= p.mid_side:
+        raise FormatError(f"rank {rank} outside [1, {p.mid_side}]", 20)
+    return p
 
 
 def _read_blocks(rd: _Reader, kind: int, expected, rank: int):
@@ -102,7 +144,7 @@ def _read_blocks(rd: _Reader, kind: int, expected, rank: int):
             f"factor kind {kind} declares {declared} blocks, "
             f"geometry implies {len(blocks)}", rd.offset)
     for row_off, col_off, target in blocks:
-        r0, c0, rows, cols = rd.unpack("<QQII")
+        r0, c0, rows, cols = rd.unpack(_BLOCK_HEADER)
         if kind == KIND_MIDDLE:
             want = (rank, rank)
         else:
@@ -122,49 +164,42 @@ def _read_blocks(rd: _Reader, kind: int, expected, rank: int):
 
 
 def load_factors(path) -> ButterflyFactors:
+    """Read a version-2 factor file; every header field is checked against
+    the file length before any factor array is allocated."""
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
     if rd.take(4) != MAGIC:
         raise FormatError("bad magic", 0)
-    version, n, levels, rank = rd.unpack("<IQII")
+    version, n, levels, rank = rd.unpack(_HEADER)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", 4)
-    p = DyadicPartition(int(n), int(levels))
+    p = _header_partition(n, levels, rank)
+    shapes, leaf_shape = chain_geometry(p, rank)
     (count,) = rd.unpack("<I")
-    shapes, leaf_shape = _level_geometry(p, rank)
     if count != 3 + 2 * len(shapes):
         raise FormatError(f"factor count {count} does not match geometry",
-                          rd.offset)
+                          rd.offset - 4)
+    size = _file_size(p, rank)
+    if size != len(rd.data):
+        raise FormatError(f"file holds {len(rd.data)} bytes, header implies "
+                          f"{size}", min(size, len(rd.data)))
 
-    def empty_chain():
-        return {lvl: TransferFactor(lvl, np.zeros(shape, dtype=np.complex128))
-                for lvl, _, shape in shapes}
+    def leaf():
+        return BlockDiagonalFactor(np.zeros(leaf_shape, dtype=np.complex128))
 
-    u_outer = BlockDiagonalFactor(np.zeros(leaf_shape, dtype=np.complex128))
-    v_outer = BlockDiagonalFactor(np.zeros(leaf_shape, dtype=np.complex128))
+    def chain():
+        return tuple(TransferFactor(lvl, np.zeros(shape, dtype=np.complex128))
+                     for lvl, shape in shapes)
+
     middle = MiddleFactor(np.zeros((p.mid_nodes, p.mid_nodes, rank)))
-    g_chain, h_chain = empty_chain(), empty_chain()
-    targets = {KIND_U_OUTER: u_outer, KIND_V_OUTER: v_outer}
-
-    for _ in range(count):
-        kind, level = rd.unpack("<BI")
-        if kind in targets:
-            _read_blocks(rd, kind, targets[kind], rank)
-        elif kind == KIND_MIDDLE:
-            _read_blocks(rd, kind, middle, rank)
-        elif kind in (KIND_G, KIND_H):
-            chain = g_chain if kind == KIND_G else h_chain
-            if level not in chain:
-                raise FormatError(f"unexpected transfer level {level}", rd.offset)
-            _read_blocks(rd, kind, chain[level], rank)
-        else:
-            raise FormatError(f"unknown factor kind {kind}", rd.offset)
-    if rd.offset != len(rd.data):
-        raise FormatError("trailing bytes after last factor", rd.offset)
-    order = [lvl for lvl, _, _ in shapes]
-    return ButterflyFactors(p, rank, u_outer,
-                            tuple(g_chain[lvl] for lvl in order), middle,
-                            tuple(h_chain[lvl] for lvl in order), v_outer)
+    f = ButterflyFactors(p, rank, leaf(), chain(), middle, chain(), leaf())
+    for kind, level, target in _file_order(f):
+        got = rd.unpack("<BI")
+        if got != (kind, level):
+            raise FormatError(f"factor (kind, level) {got}, expected "
+                              f"({kind}, {level})", rd.offset - 5)
+        _read_blocks(rd, kind, target, rank)
+    return f
 
 
 def write_vector(path, g: np.ndarray) -> None:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from butterfly.construct import _level_geometry
 from butterfly.factors import (BlockDiagonalFactor, ButterflyFactors,
-                               MiddleFactor, TransferFactor)
+                               MiddleFactor, TransferFactor, chain_geometry)
 
 
 def complex_gaussian(rng, shape):
@@ -19,7 +18,11 @@ def prescribed_svd_matrix(rng, m, n, sigmas):
 
 def random_exact_chain(p, r, rng) -> ButterflyFactors:
     """Random chain with orthonormal-row transfer blocks: every block of the
-    resulting dense matrix has exact rank <= r and decent conditioning."""
+    resulting dense matrix has exact rank <= r and decent conditioning.
+
+    Every level carries rank r, also where its nodes hold fewer than r rows
+    and a factorization would keep less; the layout accepts any k_out.
+    """
 
     def orth_rows(shape):
         a = complex_gaussian(rng, shape)
@@ -27,13 +30,15 @@ def random_exact_chain(p, r, rng) -> ButterflyFactors:
         q, _ = np.linalg.qr(flat.swapaxes(-1, -2))
         return np.ascontiguousarray(q.swapaxes(-1, -2).reshape(shape))
 
-    shapes, leaf_shape = _level_geometry(p, r)
+    geometry, (nodes, rows, _) = chain_geometry(p, r)
+    shapes = [(lvl, (*shape[:3], r, 2 * r)) for lvl, shape in geometry]
+    leaf_shape = (nodes, rows, r)
     u_outer = BlockDiagonalFactor(orth_rows(leaf_shape).conj())
     v_outer = BlockDiagonalFactor(orth_rows(leaf_shape).conj())
     g_chain = tuple(TransferFactor(lvl, orth_rows(shape))
-                    for lvl, _, shape in shapes)
+                    for lvl, shape in shapes)
     h_chain = tuple(TransferFactor(lvl, orth_rows(shape))
-                    for lvl, _, shape in shapes)
+                    for lvl, shape in shapes)
     weights = rng.uniform(0.5, 1.5, size=(p.mid_nodes, p.mid_nodes, r))
     return ButterflyFactors(p, r, u_outer, g_chain, MiddleFactor(weights),
                             h_chain, v_outer)

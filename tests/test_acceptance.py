@@ -169,7 +169,8 @@ def test_criterion_7_invariant_suite(tmp_path):
 
     rep = f.nnz_report()
     assert rep.middle == 2 ** p.levels * r
-    assert rep.u_outer == n * r and rep.v_outer == n * r
+    leaf_rank = min(r, max(1, n >> p.levels))
+    assert rep.u_outer == n * leaf_rank and rep.v_outer == n * leaf_rank
 
     rng = np.random.default_rng(7)
     worst = 0.0

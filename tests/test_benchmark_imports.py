@@ -1,0 +1,27 @@
+"""The benchmark under perfbench/ imports the library by name and patches
+two of its functions when tracing; dropping any of those names breaks it
+without breaking any other test."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHECK = """
+import measure, selftest, tracing, workloads
+import butterfly.kernels, butterfly.lowrank
+for module, name in ((butterfly.lowrank, "select_pivot_columns"),
+                     (butterfly.kernels, "hankel1_orders")):
+    if not callable(getattr(module, name, None)):
+        raise SystemExit(f"{module.__name__}.{name} is missing")
+"""
+
+
+def test_benchmark_modules_import():
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path[:0] = {paths!r}\n{CHECK}"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

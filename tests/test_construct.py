@@ -107,15 +107,13 @@ def test_recursion_zero_input():
     u_h = BlockDiagonalFactor(np.zeros((m, side, m * r), dtype=complex))
     outer, chain = recursive_factor_u(u_h, p, r)
     assert np.array_equal(outer.blocks, np.zeros_like(outer.blocks))
-    # scaling sits in the left factor, so the transfer rows that carry an
-    # actual direction stay orthonormal; rank padding leaves zero rows
+    # scaling sits in the left factor, so every transfer block has
+    # orthonormal rows
     for tf in chain:
-        blocks = tf.blocks.reshape(-1, r, 2 * r)
+        k_out, two_k = tf.blocks.shape[-2:]
+        blocks = tf.blocks.reshape(-1, k_out, two_k)
         grams = blocks @ blocks.conj().swapaxes(-1, -2)
-        diags = np.diagonal(grams, axis1=-2, axis2=-1).real
-        assert np.allclose(grams, np.einsum("bi,ij->bij", diags, np.eye(r)),
-                           atol=1e-12)
-        assert np.all((np.abs(diags - 1) < 1e-12) | (np.abs(diags) < 1e-12))
+        assert np.allclose(grams, np.eye(k_out), atol=1e-12)
     recon = outer.dense()
     for tf in reversed(chain):
         recon = recon @ tf.dense()
@@ -161,13 +159,14 @@ def test_recursion_nnz_closed_form():
     p = make_partition(n, 0.25)
     u_h, _, _ = middle_factorization_sampling(FioKernel(n), p, r, seed=0)
     _, chain = recursive_factor_u(u_h, p, r)
+    k_in = r
     for tf in chain:
         pairs = 2 ** (p.levels - tf.level - 1)
         nodes = min(2 ** tf.level, n)
-        if tf.splits:
-            assert tf.nnz == nodes * 2 * pairs * r * 2 * r
-        else:
-            assert tf.nnz == nodes * pairs * r * 2 * r
+        t = 2 if 2 ** tf.level < n else 1
+        k_out = min(r, max(1, n >> (tf.level + 1)))
+        assert tf.nnz == nodes * t * pairs * k_out * 2 * k_in
+        k_in = k_out
 
 
 def test_adjoint_symmetry_on_hermitian_kernel(rng):

@@ -53,10 +53,12 @@ def test_matrix_apply_matches_columnwise(fio_factors, rng):
 
 def test_nnz_identities(fio_factors):
     p = fio_factors.partition
+    r = fio_factors.rank
     rep = fio_factors.nnz_report()
-    assert rep.middle == 2 ** p.levels * fio_factors.rank
-    assert rep.u_outer == p.n * fio_factors.rank
-    assert rep.v_outer == p.n * fio_factors.rank
+    leaf_rank = min(r, max(1, p.n >> p.levels))
+    assert rep.middle == 2 ** p.levels * r
+    assert rep.u_outer == p.n * leaf_rank
+    assert rep.v_outer == p.n * leaf_rank
     assert rep.total == sum([rep.u_outer, rep.v_outer, rep.middle,
                              *rep.g.values(), *rep.h.values()])
 
@@ -74,6 +76,16 @@ def test_total_nnz_is_quasilinear(fio_factors):
     r = fio_factors.rank
     bound = 4 * r * r * p.n * max(np.log2(p.n), 1.0)
     assert fio_factors.nnz_report().total <= bound * 4
+
+
+def test_stored_entries_are_almost_all_nonzero():
+    # rank-exact levels: no zero padding, even two levels past single indices
+    n = 256
+    f = factorize(FioKernel(n), make_partition(n, 0.25), 8, seed=0)
+    arrays = [f.u_outer.blocks, f.v_outer.blocks, f.middle.weights]
+    arrays += [tf.blocks for tf in f.g_chain + f.h_chain]
+    zeros = sum(a.size - np.count_nonzero(a) for a in arrays)
+    assert zeros < 0.01 * f.nnz_report().total
 
 
 def test_dense_factor_views_compose(rng):

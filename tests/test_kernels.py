@@ -4,16 +4,17 @@ import scipy.special
 
 from butterfly import (ComposedOperator, DenseOracle, DftKernel,
                        EntryFunctionOracle, FioKernel, HankelKernel,
-                       composed_matvec, dense_matrix, dft_apply, factorize,
-                       fio_entry, hankel_entry, make_partition)
+                       dense_matrix, dft_apply, factorize, make_partition)
+from butterfly.bessel import hankel1_orders
 
 from conftest import complex_gaussian
 
 
 def test_fio_entry_hand_values():
     # x = 0, xi = 0 -> phase 0; x = 0, xi = -2 -> phase c(0)*2 = 0.5
-    assert fio_entry(4, 0, 2) == pytest.approx(1.0, abs=1e-15)
-    assert fio_entry(4, 0, 0) == pytest.approx(-1.0, abs=1e-14)
+    block = FioKernel(4).block([0], [2, 0])
+    assert block[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert block[0, 1] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_fio_unimodular(rng):
@@ -28,8 +29,11 @@ def test_fio_unimodular(rng):
 
 
 def test_hankel_entry_matches_oracle():
-    want = scipy.special.hankel1(5, 64 + (2 * np.pi / 3) * 3)
-    assert abs(hankel_entry(64, 3, 5) - want) <= 1e-12 * abs(want)
+    x = 64 + (2 * np.pi / 3) * 3
+    want = scipy.special.hankel1(5, x)
+    got = hankel1_orders(np.array([x]), 5)[0, 5]
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert got == HankelKernel(64, cache=False).block([3], [5])[0, 0]
 
 
 def test_hankel_block_is_finite_and_cached():
@@ -94,7 +98,7 @@ def composed_256():
 
 
 def test_composed_zero(composed_256):
-    out = composed_matvec(composed_256, np.zeros(256, dtype=complex))
+    out = composed_256.apply(np.zeros(256, dtype=complex))
     assert np.array_equal(out, np.zeros(256, dtype=complex))
 
 
@@ -105,15 +109,15 @@ def test_composed_against_dense_triple(composed_256, rng):
     chain = k @ f @ k
     g = complex_gaussian(rng, n)
     want = chain @ g
-    got = composed_matvec(composed_256, g)
+    got = composed_256.apply(g)
     assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
 
 
 def test_composed_adjoint_identity(composed_256, rng):
     x = complex_gaussian(rng, 256)
     y = complex_gaussian(rng, 256)
-    lhs = np.vdot(y, composed_matvec(composed_256, x))
-    rhs = np.vdot(composed_matvec(composed_256, y, adjoint=True), x)
+    lhs = np.vdot(y, composed_256.apply(x))
+    rhs = np.vdot(composed_256.apply_adjoint(y), x)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 

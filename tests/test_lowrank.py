@@ -3,8 +3,8 @@ import pytest
 
 from butterfly import (FioKernel, LowRankApprox, OversamplingParams,
                        make_partition, randomized_sampling_svd,
-                       randomized_svd, to_form_a, to_form_scaled_u,
-                       to_form_scaled_v, truncated_svd)
+                       randomized_svd, truncated_svd)
+from butterfly.lowrank import floored_inverse
 from butterfly.oracles import BlockView, DenseOracle
 
 from conftest import complex_gaussian, prescribed_svd_matrix
@@ -130,56 +130,17 @@ def test_sampling_svd_exact_rank_all_seeds(rng):
         assert np.linalg.norm(z - a.matrix(), 2) <= 1e-10
 
 
-def test_form_a_direct_values():
-    a = LowRankApprox(np.eye(4, 2, dtype=complex), np.array([2.0, 1.0]),
-                      np.eye(4, 2, dtype=complex))
-    fa = to_form_a(a)
-    assert np.allclose(np.diag(fa.s), [0.5, 1.0])
-
-    b = LowRankApprox(np.eye(4, 2, dtype=complex), np.array([1.0, 0.0]),
-                      np.eye(4, 2, dtype=complex))
-    fb = to_form_a(b)
-    assert np.allclose(np.diag(fb.s), [1.0, 0.0])  # floored inversion
-
-
-def test_form_a_reconstructs(rng):
-    z = prescribed_svd_matrix(rng, 10, 7, [1.0, 0.25])
-    a = truncated_svd(z, 2)
-    fa = to_form_a(a)
-    assert np.linalg.norm(fa.u @ fa.s @ fa.vstar - a.matrix()) <= 1e-13
-
-
-def test_scaled_forms_identity():
-    a = truncated_svd(np.eye(4), 4)
-    u, vstar = to_form_scaled_u(a)
-    assert np.array_equal(u, np.eye(4))
-    assert np.array_equal(vstar, np.eye(4))
-
-
-def test_scaled_forms_rank_one(rng):
-    u = complex_gaussian(rng, (6, 1))
-    u /= np.linalg.norm(u)
-    v = complex_gaussian(rng, (6, 1))
-    v /= np.linalg.norm(v)
-    a = truncated_svd(5.0 * u @ v.conj().T, 1)
-    su, svstar = to_form_scaled_u(a)
-    assert abs(np.linalg.norm(su[:, 0]) - 5.0) < 1e-12
-    assert abs(np.linalg.norm(svstar[0]) - 1.0) < 1e-12
-
-
-def test_scaled_forms_multiply_back(rng):
-    z = prescribed_svd_matrix(rng, 12, 12, [1.0, 0.7, 0.1])
-    a = truncated_svd(z, 3)
-    for form in (to_form_scaled_u, to_form_scaled_v):
-        u, vstar = form(a)
-        assert np.linalg.norm(u @ vstar - a.matrix()) <= 1e-13
+def test_floored_inverse_direct_values():
+    assert np.allclose(floored_inverse(np.array([2.0, 1.0])), [0.5, 1.0])
+    assert np.array_equal(floored_inverse(np.array([1.0, 0.0])), [1.0, 0.0])
+    assert np.array_equal(floored_inverse(np.array([1.0, 1e-14])), [1.0, 0.0])
 
 
 def test_column_scaling_invariant(rng):
+    # construction stores u0 * sigma0: column norms carry the spectrum
     z = prescribed_svd_matrix(rng, 20, 20, [3.0, 1.0, 1e-3, 1e-6])
     a = truncated_svd(z, 4)
-    u, _ = to_form_scaled_u(a)
-    norms = np.linalg.norm(u, axis=0)
+    norms = np.linalg.norm(a.u0 * a.sigma0, axis=0)
     assert np.all(np.abs(norms - a.sigma0) <= 1e-12 * np.maximum(a.sigma0, 1e-300))
 
 

@@ -1,7 +1,6 @@
 import pytest
 
-from butterfly import BlockId, DyadicPartition, block_cols, block_rows, \
-    make_partition
+from butterfly import DyadicPartition, make_partition
 
 
 def test_make_partition_picks_deepest_even_depth():
@@ -35,10 +34,12 @@ def test_make_partition_rejects_non_powers_of_two(bad):
 
 def test_block_ranges_formula():
     p = DyadicPartition(64, 4)
-    assert block_rows(p, BlockId(2, 1, 0)) == range(16, 32)
-    assert block_cols(p, BlockId(2, 1, 0)) == range(0, 16)
-    assert block_rows(p, BlockId(4, 15, 0)) == range(60, 64)
-    assert block_cols(p, BlockId(4, 15, 0)) == range(0, 64)
+    # block (lvl, i, j) pairs row node i at lvl with column node j at
+    # levels - lvl
+    assert p.node_range(2, 1) == range(16, 32)
+    assert p.node_range(p.levels - 2, 0) == range(0, 16)
+    assert p.node_range(4, 15) == range(60, 64)
+    assert p.node_range(p.levels - 4, 0) == range(0, 64)
 
 
 def test_block_rows_tile_each_level():
@@ -69,6 +70,6 @@ def test_midlevel_identities():
 def test_invalid_block_id_raises():
     p = DyadicPartition(64, 4)
     with pytest.raises(ValueError):
-        block_rows(p, BlockId(2, 4, 0))
+        p.node_range(2, 4)
     with pytest.raises(ValueError):
-        block_cols(p, BlockId(5, 0, 0))
+        p.node_range(p.levels - 5, 0)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,48 @@ def test_vector_truncation(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(FormatError):
         read_vector(path)
+
+
+def _header(version=2, n=64, levels=8, rank=3, count=11):
+    return b"BFAC" + struct.pack("<IQII", version, n, levels, rank) \
+        + struct.pack("<I", count)
+
+
+@pytest.mark.parametrize("header, offset", [
+    (_header(version=1), 4),                       # padded layout, not read
+    (_header(n=48, levels=2), 8),                  # n not a power of two
+    (_header(n=64, levels=5), 8),                  # odd depth
+    (_header(n=64, levels=2 ** 31), 16),           # depth bounded up front
+    (_header(n=64, levels=8, rank=5), 20),         # rank above mid_side 4
+    (_header(n=64, levels=8, rank=0), 20),
+    (_header(count=12), 24),
+])
+def test_bad_header_fields_rejected(tmp_path, header, offset):
+    path = tmp_path / "f.bfac"
+    path.write_bytes(header + b"\x00" * 64)
+    with pytest.raises(FormatError) as err:
+        load_factors(path)
+    assert err.value.offset == offset
+
+
+def test_huge_header_rejected_before_allocating(tmp_path):
+    # n = 2**34 would ask for hundreds of GiB; the size check runs first
+    path = tmp_path / "f.bfac"
+    path.write_bytes(_header(n=2 ** 34, levels=68, rank=1, count=71)
+                     + b"\x00" * 64)
+    with pytest.raises(FormatError) as err:
+        load_factors(path)
+    assert err.value.offset == 28 + 64  # the file ends long before the data
+
+
+def test_reordered_factors_rejected(factors, tmp_path):
+    # swap the two leaf factor kinds: same sizes, wrong product order
+    path = tmp_path / "f.bfac"
+    save_factors(factors, path)
+    data = bytearray(path.read_bytes())
+    assert data[28] == 0
+    data[28] = 4
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as err:
+        load_factors(path)
+    assert err.value.offset == 28
