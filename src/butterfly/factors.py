@@ -121,7 +121,12 @@ class TransferFactor:
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         nodes, t, pairs, k_out, two_k = self.blocks.shape
         win = w.reshape(nodes, t, pairs, k_out, -1)
-        out = (self.blocks.conj().swapaxes(-1, -2) @ win).sum(axis=1)
+        bstar = self.blocks.conj().swapaxes(-1, -2)
+        # Accumulate over t in place: materialising the t-times larger
+        # product and summing it made every block apply fault fresh pages.
+        out = bstar[:, 0] @ win[:, 0]
+        for s in range(1, t):
+            out += bstar[:, s] @ win[:, s]
         return out.reshape(nodes * pairs * two_k, -1)
 
 
