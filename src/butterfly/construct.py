@@ -3,6 +3,17 @@
 Stage one compresses every middle-level block to rank r, either by sampled
 entries or through black-box applications of the operator, and assembles the
 block-diagonal left/right factors and the weighted permutation in between.
+It works by block line: the m blocks of one block row (or, for the right
+side of the streaming mode, one block column) are produced as one stack of
+rank-r triples, and one assembler places every line whatever the mode.
+
+* entry oracle, blocks at the dense limit -- one ``block`` call per line and
+  one stacked truncated SVD;
+* entry oracle below it -- the randomized sampling engine block by block,
+  its results stacked;
+* operator oracle -- one application of K and one of K* for the whole
+  level, then one stacked probe finish per block row.
+
 Stage two recursively refactors the left and right factors level by level,
 splitting rows and merging sibling column groups, until the leaf level.
 
@@ -18,8 +29,9 @@ import numpy as np
 
 from .factors import (BlockDiagonalFactor, ButterflyFactors, MiddleFactor,
                       TransferFactor, chain_geometry)
-from .lowrank import (DEFAULT_PARAMS, complex_normal, floored_inverse,
-                      randomized_sampling_svd, svd_from_probes)
+from .lowrank import (DEFAULT_PARAMS, LowRankApprox, at_dense_limit,
+                      complex_normal, floored_inverse, randomized_sampling_svd,
+                      svd_from_probes, truncated_svd)
 from .oracles import BlockView, OracleError, is_entry_oracle, is_operator_oracle
 from .partition import DyadicPartition
 
@@ -40,32 +52,98 @@ def _middle_shapes(p: DyadicPartition, r: int):
     return m, side
 
 
+def _non_finite(source, i, j) -> OracleError:
+    return OracleError(f"{source} returned non-finite values for middle "
+                       f"block ({i}, {j})")
+
+
 def _sample_block(entry, p, r, params, seed, i, j):
     sub = BlockView(entry, p.node_range(p.half, i), p.node_range(p.half, j))
+
+    def finite_block(rows, cols):
+        values = sub.block(rows, cols)
+        if not np.isfinite(values).all():
+            raise _non_finite("entry oracle", i, j)
+        return values
+
     rng = block_rng(seed, _SAMPLING_DOMAIN, i, j)
     try:
-        return randomized_sampling_svd(sub.block, sub.shape[0], sub.shape[1],
-                                       r, params, rng)
+        return randomized_sampling_svd(finite_block, sub.shape[0],
+                                       sub.shape[1], r, params, rng)
+    except OracleError:
+        raise
     except Exception as exc:  # keep the failing block identifiable
         raise OracleError(f"entry oracle failed on middle block ({i}, {j})") from exc
 
 
-def middle_factorization_sampling(entry, p: DyadicPartition, r: int,
-                                  params=DEFAULT_PARAMS, seed=0):
-    """Rank-r middle factorization through an entry oracle."""
-    m, side = _middle_shapes(p, r)
+def _entry_line(entry, p, r, params, seed, k, column=False) -> LowRankApprox:
+    """Stacked rank-r triples of the m blocks of block row k.
+
+    With ``column`` the line is block column k, returned as block row k of
+    the adjoint (u0 and v0 swapped), so that it is placed like a row.
+    """
+    m, side = p.mid_nodes, p.mid_side
+
+    def block_id(other):
+        return (other, k) if column else (k, other)
+
+    if at_dense_limit(side, side, r, params):
+        node, every = np.asarray(p.node_range(p.half, k)), np.arange(p.n)
+        try:
+            values = (entry.block(every, node) if column
+                      else entry.block(node, every))
+        except Exception as exc:
+            raise OracleError(f"entry oracle failed on middle block "
+                              f"{'column' if column else 'row'} {k}") from exc
+        blocks = (values.reshape(m, side, side) if column
+                  else values.reshape(side, m, side).swapaxes(0, 1))
+        finite = np.isfinite(blocks).all(axis=(1, 2))
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise _non_finite("entry oracle", *block_id(bad))
+        apx = truncated_svd(blocks, r)
+    else:
+        parts = [_sample_block(entry, p, r, params, seed, *block_id(other))
+                 for other in range(m)]
+        apx = LowRankApprox(np.stack([a.u0 for a in parts]),
+                            np.stack([a.sigma0 for a in parts]),
+                            np.stack([a.v0 for a in parts]))
+    return LowRankApprox(apx.v0, apx.sigma0, apx.u0) if column else apx
+
+
+def _place_line(apx: LowRankApprox, u_row=None, v_col=None, w_row=None):
+    """Write the stacked triples of one block row i, block (i, j) going to
+    ``u[i, :, j, :]``, ``v[j, :, i, :]`` and ``w[i, j]``; the arguments
+    are the views ``u[i]``, ``v[:, :, i]`` and ``w[i]`` (any may be left out).
+    """
+    scaled = apx.sigma0[:, None, :]
+    if u_row is not None:
+        u_row[...] = (apx.u0 * scaled).swapaxes(0, 1)
+    if v_col is not None:
+        v_col[...] = apx.v0 * scaled
+    if w_row is not None:
+        w_row[...] = floored_inverse(apx.sigma0)
+
+
+def _middle_level(p: DyadicPartition, r: int, lines):
+    """U, M and V of the middle level from its m block rows in order."""
+    m, side = p.mid_nodes, p.mid_side
     u = np.zeros((m, side, m, r), dtype=np.complex128)
     v = np.zeros((m, side, m, r), dtype=np.complex128)
     w = np.zeros((m, m, r))
-    for i in range(m):
-        for j in range(m):
-            apx = _sample_block(entry, p, r, params, seed, i, j)
-            u[i, :, j, :] = apx.u0 * apx.sigma0
-            v[j, :, i, :] = apx.v0 * apx.sigma0
-            w[i, j] = floored_inverse(apx.sigma0)
+    for i, apx in enumerate(lines):
+        _place_line(apx, u[i], v[:, :, i], w[i])
     return (BlockDiagonalFactor(u.reshape(m, side, m * r)),
             MiddleFactor(w),
             BlockDiagonalFactor(v.reshape(m, side, m * r)))
+
+
+def middle_factorization_sampling(entry, p: DyadicPartition, r: int,
+                                  params=DEFAULT_PARAMS, seed=0):
+    """Rank-r middle factorization through an entry oracle, by block row."""
+    m, _ = _middle_shapes(p, r)
+    return _middle_level(p, r, (_entry_line(entry, p, r, params, seed, i)
+                                for i in range(m)))
 
 
 def _apply_chunked(apply_fn, block: np.ndarray, chunk: int = 128) -> np.ndarray:
@@ -86,14 +164,29 @@ def block_diagonal_probe(p: DyadicPartition, width: int, seed, domain) -> np.nda
     return probe
 
 
+def _check_probe_products(k_cols, k_rows, m, side, width):
+    """Raise OracleError naming the first block whose probe products are
+    not finite; a block bad on both sides is named first, since a single
+    bad operator entry spreads along a whole block row of K C (and column
+    of K* R) through the zero parts of the probes."""
+    def bad(y):  # [row node, probe group]
+        return ~np.isfinite(y).reshape(m, side, m, width).all(axis=(1, 3))
+
+    bad_cols, bad_rows = bad(k_cols), bad(k_rows).T
+    if bad_cols.any() or bad_rows.any():
+        both = bad_cols & bad_rows
+        i, j = np.argwhere(both if both.any() else bad_cols | bad_rows)[0]
+        raise _non_finite("operator oracle", i, j)
+
+
 def middle_factorization_matvec(op, p: DyadicPartition, r: int,
                                 params=DEFAULT_PARAMS, seed=0):
     """Rank-r middle factorization from black-box applications of K and K*.
 
     One structured probe per side feeds every middle block: the column probe
     shares its diagonal block across all block rows, so a single application
-    of the operator covers the whole level.  Per-block SVDs are finished
-    from the stored products alone.
+    of the operator covers the whole level.  Each block row is finished from
+    the stored products alone, in one stacked pass.
     """
     m, side = _middle_shapes(p, r)
     width = min(r + params.p, side)  # full-block probes once blocks are small
@@ -104,24 +197,16 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int,
         k_rows = _apply_chunked(op.apply_adjoint, row_probe)
     except Exception as exc:
         raise OracleError("operator oracle failed on the probe block") from exc
+    _check_probe_products(k_cols, k_rows, m, side, width)
 
-    u = np.zeros((m, side, m, r), dtype=np.complex128)
-    v = np.zeros((m, side, m, r), dtype=np.complex128)
-    w = np.zeros((m, m, r))
-    for i in range(m):
+    def line(i):
         rows = slice(i * side, (i + 1) * side)
-        r_block = row_probe[rows, i * width:(i + 1) * width]
-        for j in range(m):
-            cols = slice(j * side, (j + 1) * side)
-            apx = svd_from_probes(k_cols[rows, j * width:(j + 1) * width],
-                                  k_rows[cols, i * width:(i + 1) * width],
-                                  r_block, r)
-            u[i, :, j, :] = apx.u0 * apx.sigma0
-            v[j, :, i, :] = apx.v0 * apx.sigma0
-            w[i, j] = floored_inverse(apx.sigma0)
-    return (BlockDiagonalFactor(u.reshape(m, side, m * r)),
-            MiddleFactor(w),
-            BlockDiagonalFactor(v.reshape(m, side, m * r)))
+        group = slice(i * width, (i + 1) * width)
+        y_col = k_cols[rows].reshape(side, m, width).swapaxes(0, 1)
+        y_row = k_rows[:, group].reshape(m, side, width)
+        return svd_from_probes(y_col, y_row, row_probe[rows, group], r)
+
+    return _middle_level(p, r, (line(i) for i in range(m)))
 
 
 def _recurse(cur: np.ndarray, p: DyadicPartition, r: int):
@@ -196,21 +281,16 @@ def _factorize_streaming(entry, p, r, params, seed) -> ButterflyFactors:
     m, side = _middle_shapes(p, r)
     weights = np.zeros((m, m, r))
     sides = []
-    for axis in ("u", "v"):
+    for column in (False, True):
         shapes, leaf_shape = chain_geometry(p, r)
         chain = {lvl: np.zeros(shape, dtype=np.complex128)
                  for lvl, shape in shapes}
         leaf = np.zeros(leaf_shape, dtype=np.complex128)
         for k in range(m):
+            # the u side takes block row k, the v side block column k
             slab = np.zeros((1, side, m, r), dtype=np.complex128)
-            for other in range(m):
-                i, j = (k, other) if axis == "u" else (other, k)
-                apx = _sample_block(entry, p, r, params, seed, i, j)
-                if axis == "u":
-                    slab[0, :, j, :] = apx.u0 * apx.sigma0
-                    weights[i, j] = floored_inverse(apx.sigma0)
-                else:
-                    slab[0, :, i, :] = apx.v0 * apx.sigma0
+            _place_line(_entry_line(entry, p, r, params, seed, k, column),
+                        slab[0], w_row=None if column else weights[k])
             leaf_k, pieces = _recurse(slab, p, r)
             for lvl, blocks in pieces:
                 nb = blocks.shape[0]

@@ -2,11 +2,22 @@
 
 Three routes to a rank-r approximate SVD ``Z ~ u0 @ diag(sigma0) @ v0*``:
 
-* :func:`truncated_svd` -- dense, optimal, used as the oracle and inside the
-  recursive stage;
+* :func:`truncated_svd` -- dense, optimal; builds every middle block whose
+  sampling sweeps would cover it whole (:func:`at_dense_limit`);
 * :func:`randomized_svd` -- probes a black-box operator with Gaussian blocks;
 * :func:`randomized_sampling_svd` -- visits O(r) rows and columns through an
   entry oracle, alternating pivoted QR/LQ skeleton selection.
+
+:func:`svd_from_probes` finishes the probe route from stored products, for
+blocks of an operator that cannot be applied to fresh vectors.
+
+:func:`truncated_svd`, :func:`svd_from_probes`, :func:`floored_inverse` and
+:func:`pinv_floored` accept leading batch axes: a stack of equal-shaped
+blocks is one call, each block treated on its own.  The construction passes
+whole block lines of the middle level this way.  A slice of a stacked
+:func:`truncated_svd` is bit-identical to the call on that block alone;
+stacked products may round differently, so :func:`svd_from_probes` slices
+agree to rounding only.
 
 All randomized draws come from a caller-supplied generator, and every
 reduction is deterministic, so identical seeds give bit-identical results.
@@ -53,7 +64,10 @@ DEFAULT_PARAMS = OversamplingParams()
 
 @dataclass(frozen=True)
 class LowRankApprox:
-    """Rank-r triple (u0, sigma0, v0); u0/v0 have orthonormal columns."""
+    """Rank-r triple (u0, sigma0, v0); u0/v0 have orthonormal columns.
+
+    Stacked triples carry the same leading batch axes on all three arrays.
+    """
 
     u0: np.ndarray
     sigma0: np.ndarray
@@ -61,18 +75,26 @@ class LowRankApprox:
 
     @property
     def rank(self) -> int:
-        return self.sigma0.shape[0]
+        return self.sigma0.shape[-1]
 
     def matrix(self) -> np.ndarray:
-        return (self.u0 * self.sigma0) @ self.v0.conj().T
+        return (self.u0 * self.sigma0[..., None, :]) @ _adjoint(self.v0)
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 def floored_inverse(sigma: np.ndarray) -> np.ndarray:
-    """Invert singular values, zeroing everything below PINV_FLOOR * max."""
+    """Invert singular values, zeroing everything below PINV_FLOOR * max.
+
+    The maximum is taken along the last axis, so each row of a stack is
+    floored against its own largest value.
+    """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size == 0:
         return sigma.copy()
-    keep = sigma > PINV_FLOOR * sigma.max(initial=0.0)
+    keep = sigma > PINV_FLOOR * sigma.max(axis=-1, keepdims=True, initial=0.0)
     out = np.zeros_like(sigma)
     np.divide(1.0, sigma, out=out, where=keep)
     return out
@@ -82,7 +104,7 @@ def pinv_floored(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the shared relative floor."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     sinv = floored_inverse(s)
-    return (vh.conj().T * sinv) @ u.conj().T
+    return (_adjoint(vh) * sinv[..., None, :]) @ _adjoint(u)
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -146,28 +168,38 @@ def orthonormal_columns(a: np.ndarray, k: int, pad: bool = True,
 
 
 def _pad_orthonormal(partial: np.ndarray, k: int) -> np.ndarray:
-    """Complete (m x t) orthonormal columns to (m x k) with t <= k."""
-    m, t = partial.shape
+    """Complete (..., m, t) orthonormal columns to (..., m, k) with t <= k."""
+    m, t = partial.shape[-2:]
     if t == k:
         return partial
-    filler = np.eye(m, dtype=np.complex128)[:, : k - t]
-    q, _ = np.linalg.qr(np.concatenate([partial, filler], axis=1))
-    out = np.concatenate([partial, q[:, t:k]], axis=1)
-    return out
+    filler = np.broadcast_to(np.eye(m, dtype=np.complex128)[:, : k - t],
+                             (*partial.shape[:-2], m, k - t))
+    q, _ = np.linalg.qr(np.concatenate([partial, filler], axis=-1))
+    return np.concatenate([partial, q[..., t:k]], axis=-1)
 
 
 def truncated_svd(z: np.ndarray, r: int) -> LowRankApprox:
-    """Optimal rank-r approximation by dense SVD truncation."""
+    """Optimal rank-r approximation by dense SVD truncation.
+
+    ``z`` is one (m, n) matrix or a stack (..., m, n) of them; one stacked
+    SVD call covers the stack.
+    """
     z = np.asarray(z)
-    m, n = z.shape
+    m, n = z.shape[-2:]
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside [1, {min(m, n)}] for a {m}x{n} matrix")
     u, s, vh = np.linalg.svd(z, full_matrices=False)
     return LowRankApprox(
-        u0=np.ascontiguousarray(u[:, :r], dtype=np.complex128),
-        sigma0=np.ascontiguousarray(s[:r]),
-        v0=np.ascontiguousarray(vh[:r].conj().T),
+        u0=np.ascontiguousarray(u[..., :r], dtype=np.complex128),
+        sigma0=np.ascontiguousarray(s[..., :r]),
+        v0=np.ascontiguousarray(_adjoint(vh[..., :r, :])),
     )
+
+
+def at_dense_limit(m: int, n: int, r: int, params=DEFAULT_PARAMS) -> bool:
+    """True when the sampling engine's sweeps would visit a whole m x n
+    block, so its exact limit, a dense truncated SVD, applies instead."""
+    return r * params.q >= max(m, n)
 
 
 def randomized_svd(apply_op, m, n, r, params=DEFAULT_PARAMS, rng=None) -> LowRankApprox:
@@ -197,13 +229,16 @@ def svd_from_probes(y_col, y_row, r_row, r) -> LowRankApprox:
 
     Given ``y_col = Z @ C``, ``y_row = Z* @ R`` and the row probe ``R``, the
     middle matrix solves ``R* Q_col M ~ y_row* Q_row`` in the least-squares
-    sense; this is the per-block path of the fast-matvec construction, where
+    sense; this is the finishing step of the fast-matvec construction, where
     blocks of the operator cannot be applied to fresh vectors.
+
+    All three inputs may carry leading batch axes (``r_row`` broadcasts), so
+    a whole block row is finished in one pass.  The bases keep every probe
+    direction, so plain QR spans what pivoted QR would; no pivoting needed.
     """
-    width = min(y_col.shape[1], y_col.shape[0], y_row.shape[0])
-    q_col = orthonormal_columns(y_col, width)
-    q_row = orthonormal_columns(y_row, width)
-    mid = pinv_floored(r_row.conj().T @ q_col) @ (y_row.conj().T @ q_row)
+    q_col, _ = np.linalg.qr(y_col)
+    q_row, _ = np.linalg.qr(y_row)
+    mid = pinv_floored(_adjoint(r_row) @ q_col) @ (_adjoint(y_row) @ q_row)
     return _assemble(mid, q_col, q_row, r)
 
 
@@ -219,10 +254,9 @@ def randomized_sampling_svd(entry, m, n, r, params=DEFAULT_PARAMS, rng=None) -> 
     rng = np.random.default_rng(rng)
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside [1, {min(m, n)}]")
-    rq = r * params.q
-    if rq >= max(m, n):
-        # every sweep would visit the whole block; take the exact limit
+    if at_dense_limit(m, n, r, params):
         return truncated_svd(entry(np.arange(m), np.arange(n)), r)
+    rq = r * params.q
     pi_col: np.ndarray = np.empty(0, dtype=np.intp)
     pi_row: np.ndarray = np.empty(0, dtype=np.intp)
     for _ in range(params.iters):
@@ -255,11 +289,11 @@ def _union(sampled: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 def _assemble(mid, q_col, q_row, r) -> LowRankApprox:
     u_m, s_m, vh_m = np.linalg.svd(mid, full_matrices=False)
-    t = min(r, s_m.shape[0])
-    sigma = np.zeros(r)
-    sigma[:t] = s_m[:t]
+    t = min(r, s_m.shape[-1])
+    sigma = np.zeros((*s_m.shape[:-1], r))
+    sigma[..., :t] = s_m[..., :t]
     return LowRankApprox(
-        u0=_pad_orthonormal(q_col @ u_m[:, :t], r),
+        u0=_pad_orthonormal(q_col @ u_m[..., :t], r),
         sigma0=sigma,
-        v0=_pad_orthonormal(q_row @ vh_m[:t].conj().T, r),
+        v0=_pad_orthonormal(q_row @ _adjoint(vh_m[..., :t, :]), r),
     )

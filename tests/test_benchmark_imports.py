@@ -9,12 +9,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CHECK = """
+import inspect
 import measure, selftest, tracing, workloads
-import butterfly.kernels, butterfly.lowrank
+import butterfly, butterfly.kernels, butterfly.lowrank
 for module, name in ((butterfly.lowrank, "select_pivot_columns"),
                      (butterfly.kernels, "hankel1_orders")):
     if not callable(getattr(module, name, None)):
         raise SystemExit(f"{module.__name__}.{name} is missing")
+# tracing.py calls the middle-level stages as stage(oracle, p, r, seed=...)
+for name in ("middle_factorization_sampling", "middle_factorization_matvec"):
+    try:
+        inspect.signature(getattr(butterfly, name)).bind(
+            "oracle", "p", "r", seed=0)
+    except TypeError as exc:
+        raise SystemExit(f"butterfly.{name}(oracle, p, r, seed=...): {exc}")
 """
 
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from butterfly import (DenseOracle, FioKernel, block_diagonal_probe,
-                       dense_matrix, factorize, factors_equal,
-                       make_partition, middle_factorization_matvec,
+from butterfly import (DenseOracle, FioKernel, HankelKernel, OracleError,
+                       block_diagonal_probe, dense_matrix, factorize,
+                       factors_equal, make_partition,
+                       middle_factorization_matvec,
                        middle_factorization_sampling, recursive_factor_u,
                        recursive_factor_v, truncated_svd)
 from butterfly.factors import BlockDiagonalFactor
-from butterfly.lowrank import OversamplingParams
+from butterfly.lowrank import OversamplingParams, floored_inverse
 
 from conftest import complex_gaussian, random_exact_chain
 
@@ -193,12 +194,87 @@ def test_factorize_dense_error_small_fio():
     assert np.linalg.norm(k - f.dense()) / np.linalg.norm(k) <= 1e-3
 
 
-def test_streaming_matches_sampling_bitwise():
-    n = 128
-    p = make_partition(n, 0.25)
-    a = factorize(FioKernel(n), p, 4, seed=9, mode="sampling")
-    b = factorize(FioKernel(n), p, 4, seed=9, mode="streaming")
+# (kernel, n, target_leaf, r): the first two have middle blocks at the dense
+# limit (r*q >= side), the last goes through the randomized sampling engine
+# (side 16, r*q = 12).
+STREAMING_CASES = [(FioKernel, 128, 0.25, 4), (HankelKernel, 64, 0.25, 3),
+                   (FioKernel, 256, 1, 4)]
+
+
+@pytest.mark.parametrize("kernel, n, leaf, r", STREAMING_CASES)
+def test_streaming_matches_sampling_bitwise(kernel, n, leaf, r):
+    p = make_partition(n, leaf)
+    a = factorize(kernel(n), p, r, seed=9, mode="sampling")
+    b = factorize(kernel(n), p, r, seed=9, mode="streaming")
     assert factors_equal(a, b)
+
+
+@pytest.mark.parametrize("kernel, n, r", [(FioKernel, 128, 4),
+                                          (HankelKernel, 64, 3)])
+def test_batched_dense_middle_matches_per_block_reference(kernel, n, r):
+    # at the dense limit a block row is one stacked SVD; every slice must
+    # equal the per-block truncated SVD and floored inverse bit for bit
+    p = make_partition(n, 0.25)
+    m, side = p.mid_nodes, p.mid_side
+    assert r * OversamplingParams().q >= side
+    ker = kernel(n)
+    u = np.zeros((m, side, m, r), dtype=complex)
+    v = np.zeros((m, side, m, r), dtype=complex)
+    w = np.zeros((m, m, r))
+    for i in range(m):
+        for j in range(m):
+            apx = truncated_svd(ker.block(p.node_range(p.half, i),
+                                          p.node_range(p.half, j)), r)
+            u[i, :, j, :] = apx.u0 * apx.sigma0
+            v[j, :, i, :] = apx.v0 * apx.sigma0
+            w[i, j] = floored_inverse(apx.sigma0)
+    u_h, middle, v_h = middle_factorization_sampling(kernel(n), p, r, seed=5)
+    assert np.array_equal(u_h.blocks, u.reshape(m, side, m * r))
+    assert np.array_equal(v_h.blocks, v.reshape(m, side, m * r))
+    assert np.array_equal(middle.weights, w)
+    assert np.count_nonzero(middle.weights == 0) == np.count_nonzero(w == 0)
+
+
+class CountingOracle:
+    def __init__(self, inner):
+        self.inner, self.shape, self.calls = inner, inner.shape, 0
+
+    def block(self, rows, cols):
+        self.calls += 1
+        return self.inner.block(rows, cols)
+
+
+@pytest.mark.parametrize("mode, calls", [("sampling", 16), ("streaming", 32)])
+def test_dense_limit_one_oracle_call_per_block_line(mode, calls):
+    # 16 middle nodes of side 8 at r=4: one call per block row, and per
+    # block column on the streaming right side, instead of one per block
+    p = make_partition(128, 0.25)
+    assert p.mid_nodes == 16
+    oracle = CountingOracle(FioKernel(128))
+    factorize(oracle, p, 4, seed=0, mode=mode)
+    assert oracle.calls == calls
+
+
+def _matrix_with_nan_block(n, leaf, i, j, whole):
+    p = make_partition(n, leaf)
+    k = dense_matrix(FioKernel(n), n)
+    rows, cols = p.node_range(p.half, i), p.node_range(p.half, j)
+    if whole:
+        k[rows.start:rows.stop, cols.start:cols.stop] = np.nan
+    else:
+        k[rows.start + 1, cols.start + 3] = np.nan
+    return p, DenseOracle(k)
+
+
+@pytest.mark.parametrize("mode, n, leaf, whole", [
+    ("sampling", 128, 0.25, False), ("streaming", 128, 0.25, False),
+    ("matvec", 128, 0.25, False),
+    # randomized engine: it samples rows and columns, so fill the block
+    ("sampling", 256, 1, True), ("streaming", 256, 1, True)])
+def test_non_finite_oracle_output_names_the_block(mode, n, leaf, whole):
+    p, oracle = _matrix_with_nan_block(n, leaf, 2, 5, whole)
+    with pytest.raises(OracleError, match=r"non-finite.*block \(2, 5\)"):
+        factorize(oracle, p, 4, seed=0, mode=mode)
 
 
 def test_factorize_mode_oracle_mismatch():

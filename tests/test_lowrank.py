@@ -4,7 +4,7 @@ import pytest
 from butterfly import (FioKernel, LowRankApprox, OversamplingParams,
                        make_partition, randomized_sampling_svd,
                        randomized_svd, truncated_svd)
-from butterfly.lowrank import floored_inverse
+from butterfly.lowrank import floored_inverse, svd_from_probes
 from butterfly.oracles import BlockView, DenseOracle
 
 from conftest import complex_gaussian, prescribed_svd_matrix
@@ -134,6 +134,39 @@ def test_floored_inverse_direct_values():
     assert np.allclose(floored_inverse(np.array([2.0, 1.0])), [0.5, 1.0])
     assert np.array_equal(floored_inverse(np.array([1.0, 0.0])), [1.0, 0.0])
     assert np.array_equal(floored_inverse(np.array([1.0, 1e-14])), [1.0, 0.0])
+
+
+def test_floored_inverse_floors_each_row_of_a_stack():
+    got = floored_inverse(np.array([[1.0, 1e-14], [1e-14, 1e-27]]))
+    assert np.array_equal(got, [[1.0, 0.0], [1e14, 0.0]])
+
+
+def test_truncated_svd_stack_equals_slices_bitwise(rng):
+    z = complex_gaussian(rng, (5, 12, 9))
+    a = truncated_svd(z, 3)
+    for b in range(5):
+        s = truncated_svd(z[b], 3)
+        assert np.array_equal(a.u0[b], s.u0)
+        assert np.array_equal(a.sigma0[b], s.sigma0)
+        assert np.array_equal(a.v0[b], s.v0)
+
+
+def test_svd_from_probes_stack_matches_slices(rng):
+    blocks = np.stack([prescribed_svd_matrix(rng, 16, 12, 2.0 ** -np.arange(6))
+                       for _ in range(4)])
+    width, r = 9, 4
+    cols = complex_gaussian(rng, (4, 12, width))
+    rows = complex_gaussian(rng, (16, width))  # one row probe, broadcast
+    y_col = blocks @ cols
+    y_row = blocks.conj().swapaxes(-1, -2) @ rows
+    stacked = svd_from_probes(y_col, y_row, rows, r)
+    for b in range(4):
+        one = svd_from_probes(y_col[b], y_row[b], rows, r)
+        for got, want in ((stacked.sigma0[b], one.sigma0),
+                          (stacked.matrix()[b], one.matrix())):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        err = np.linalg.norm(blocks[b] - one.matrix(), 2)
+        assert err <= 10 * 2.0 ** -r
 
 
 def test_column_scaling_invariant(rng):
