@@ -40,13 +40,6 @@ def chain_geometry(p: DyadicPartition, r: int):
     return shapes, (nodes, rows, k)
 
 
-def _dense(shape, blocks) -> np.ndarray:
-    out = np.zeros(shape, dtype=np.complex128)
-    for r0, c0, blk in blocks:
-        out[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
-    return out
-
-
 @dataclass(frozen=True)
 class BlockDiagonalFactor:
     """Uniform block diagonal: blocks[b] sits at (b*rows, b*cols)."""
@@ -62,13 +55,8 @@ class BlockDiagonalFactor:
         nb, rows, cols = self.blocks.shape
         return (nb * rows, nb * cols)
 
-    def iter_blocks(self):
-        nb, rows, cols = self.blocks.shape
-        for b in range(nb):
-            yield b * rows, b * cols, self.blocks[b]
-
     def dense(self) -> np.ndarray:
-        return _dense(self.shape, self.iter_blocks())
+        return self.forward(np.eye(self.shape[1], dtype=complex))
 
     def forward(self, w: np.ndarray) -> np.ndarray:
         nb, rows, cols = self.blocks.shape
@@ -102,16 +90,8 @@ class TransferFactor:
         nodes, t, pairs, k_out, two_k = self.blocks.shape
         return (nodes * t * pairs * k_out, nodes * pairs * two_k)
 
-    def iter_blocks(self):
-        nodes, t, pairs, k_out, two_k = self.blocks.shape
-        for i in range(nodes):
-            for s in range(t):
-                for j in range(pairs):
-                    yield (((i * t + s) * pairs + j) * k_out,
-                           (i * pairs + j) * two_k, self.blocks[i, s, j])
-
     def dense(self) -> np.ndarray:
-        return _dense(self.shape, self.iter_blocks())
+        return self.forward(np.eye(self.shape[1], dtype=complex))
 
     def forward(self, w: np.ndarray) -> np.ndarray:
         nodes, t, pairs, k_out, two_k = self.blocks.shape
@@ -153,17 +133,8 @@ class MiddleFactor:
         n = self.m * self.m * self.rank
         return (n, n)
 
-    def iter_blocks(self):
-        m, r = self.m, self.rank
-        for i in range(m):
-            for j in range(m):
-                yield i * m * r + j * r, j * m * r + i * r, self.weights[i, j]
-
     def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.complex128)
-        for r0, c0, w in self.iter_blocks():
-            out[r0:r0 + self.rank, c0:c0 + self.rank] = np.diag(w)
-        return out
+        return self.forward(np.eye(self.shape[1], dtype=complex))
 
     def forward(self, w: np.ndarray) -> np.ndarray:
         m, r = self.m, self.rank
@@ -208,6 +179,9 @@ class ButterflyFactors:
         if g.shape[0] != self.n:
             raise ValueError(f"input length {g.shape[0]} != {self.n}")
         w = g.reshape(self.n, -1).astype(np.complex128, copy=False)
+        if not np.isfinite(w).all():
+            row = int(np.argmin(np.isfinite(w).all(axis=1)))
+            raise ValueError(f"input row {row} holds NaN or inf")
         lead, mid_op, trail = (
             (self.v_outer, self.middle.forward, self.u_outer)
             if not adjoint

@@ -52,9 +52,6 @@ class HankelKernel:
         self._cache_rows = n <= _HANKEL_CACHE_CAP if cache is None else cache
         self._rows: dict[int, np.ndarray] = {}
 
-    def point(self, i: int) -> float:
-        return self.n + (2.0 * np.pi / 3.0) * i
-
     def block(self, rows, cols) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
@@ -108,13 +105,7 @@ def dense_matrix(entry, n: int, max_n: int = DENSE_CAP) -> np.ndarray:
     if n > max_n:
         raise ValueError(f"dense enumeration capped at {max_n}, asked for {n}")
     idx = np.arange(n)
-    if hasattr(entry, "block"):
-        return entry.block(idx, idx)
-    out = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = entry(i, j)
-    return out
+    return entry.block(idx, idx)
 
 
 @dataclass(frozen=True)

@@ -142,29 +142,17 @@ def select_pivot_columns(a: np.ndarray, k: int, rel_tol: float = 0.0) -> list[in
     return pivots
 
 
-def orthonormal_columns(a: np.ndarray, k: int, pad: bool = True,
-                        rel_tol: float = 0.0) -> np.ndarray:
+def orthonormal_columns(a: np.ndarray, k: int, rel_tol: float = 0.0) -> np.ndarray:
     """Orthonormal basis for the first k pivot columns of ``a``.
 
-    With ``pad`` the basis is completed to exactly k columns with canonical
-    directions; without it, rank-deficient input yields fewer columns (the
-    honest numerical rank up to ``rel_tol``).
+    Rank-deficient input yields fewer columns: the honest numerical rank up
+    to ``rel_tol``.
     """
     m = a.shape[0]
     if k > m:
         raise ValueError(f"cannot build {k} orthonormal columns in dimension {m}")
-    pivots = select_pivot_columns(a, k, rel_tol)
-    sel = a[:, pivots]
-    if len(pivots) < k:
-        if not pad:
-            if not pivots:
-                return np.zeros((m, 0), dtype=np.complex128)
-            q, _ = np.linalg.qr(sel)
-            return q
-        extra = np.eye(m, dtype=np.complex128)[:, : k - len(pivots)]
-        sel = np.concatenate([sel, extra], axis=1)
-    q, _ = np.linalg.qr(sel)
-    return q[:, :k]
+    q, _ = np.linalg.qr(a[:, select_pivot_columns(a, k, rel_tol)])
+    return q
 
 
 def _pad_orthonormal(partial: np.ndarray, k: int) -> np.ndarray:
@@ -217,9 +205,10 @@ def randomized_svd(apply_op, m, n, r, params=DEFAULT_PARAMS, rng=None) -> LowRan
     r_row = complex_normal(rng, (m, width))
     y_col = apply_op(r_col, False)
     y_row = apply_op(r_row, True)
-    # keep the whole oversampled range; truncate to r only after the small SVD
-    q_col = orthonormal_columns(y_col, width)
-    q_row = orthonormal_columns(y_row, width)
+    # keep the whole oversampled range; truncate to r only after the small
+    # SVD.  Every probe column is kept, so plain QR spans what pivoting would.
+    q_col, _ = np.linalg.qr(y_col)
+    q_row, _ = np.linalg.qr(y_row)
     mid = q_col.conj().T @ apply_op(q_row, False)
     return _assemble(mid, q_col, q_row, r)
 
@@ -276,9 +265,9 @@ def randomized_sampling_svd(entry, m, n, r, params=DEFAULT_PARAMS, rng=None) -> 
     cols = _union(rng.choice(n, size=min(rq, n), replace=False), pi_col)
     width = max(r, min(rows.size, cols.size) - r)
     q_col = orthonormal_columns(entry(np.arange(m), cols), min(width, m),
-                                pad=False, rel_tol=BASIS_TRIM)
+                                rel_tol=BASIS_TRIM)
     q_row = orthonormal_columns(entry(rows, np.arange(n)).conj().T,
-                                min(width, n), pad=False, rel_tol=BASIS_TRIM)
+                                min(width, n), rel_tol=BASIS_TRIM)
     mid = pinv_floored(q_col[rows, :]) @ entry(rows, cols) @ pinv_floored(q_row[cols, :].conj().T)
     return _assemble(mid, q_col, q_row, r)
 

@@ -6,7 +6,7 @@ Factor file layout (all little-endian), version 2:
     then per factor:
         kind u8 (0 leaf-left, 1 transfer-left, 2 middle, 3 transfer-right,
                  4 leaf-right) | level u32 | block_count u64
-        then per block:
+        then block_count records:
             row_off u64 | col_off u64 | rows u32 | cols u32 | payload
     payload: kind 2 stores the rank real weights as f64; every other kind
     stores rows*cols complex values as (re, im) f64 pairs, column-major.
@@ -18,12 +18,19 @@ k_out x 2k_in blocks with k_out = min(rank, rows per output node), a leaf
 rows x k blocks.  Version 1 files (zero-padded rank x 2*rank transfer
 blocks) are rejected.  Vector files are a u64 length followed by that many
 complex f64 pairs.
+
+:func:`_layout` is the one definition of the records: every block of a
+factor has the same record, so each factor is read and written as one numpy
+record array.  On load every block header is compared with the layout and
+every payload is checked for NaN and inf; the first bad block is reported
+at the byte where its header starts.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +49,7 @@ KIND_V_OUTER = 4
 
 _HEADER = "<IQII"
 _FACTOR_HEADER = "<BIQ"
-_BLOCK_HEADER = "<QQII"
+_BLOCK_FIELDS = ("row_off", "col_off", "rows", "cols")
 
 
 class FormatError(ValueError):
@@ -55,10 +62,10 @@ class FormatError(ValueError):
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.offset = 0
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.offset + count > len(self.data):
             raise FormatError(
                 f"truncated: wanted {count} bytes, file ends", self.offset)
@@ -70,56 +77,82 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _file_order(f: ButterflyFactors):
-    """(kind, level, factor) in the order the file stores them."""
-    p = f.partition
-    return ([(KIND_U_OUTER, p.levels, f.u_outer)]
-            + [(KIND_G, tf.level, tf) for tf in reversed(f.g_chain)]
-            + [(KIND_MIDDLE, p.half, f.middle)]
-            + [(KIND_H, tf.level, tf) for tf in f.h_chain]
-            + [(KIND_V_OUTER, p.levels, f.v_outer)])
+class _Factor(NamedTuple):
+    """The records of one factor: ``count`` blocks of one ``dtype``."""
+
+    kind: int
+    level: int
+    count: int
+    dtype: np.dtype
+    shape: tuple                # the factor's array
+    expected: Callable          # () -> the four header columns
 
 
-def _write_factor(out, kind: int, level: int, factor):
-    blocks = list(factor.iter_blocks())
-    out.append(struct.pack(_FACTOR_HEADER, kind, level, len(blocks)))
-    for row_off, col_off, payload in blocks:
-        if kind == KIND_MIDDLE:
-            rows = cols = payload.shape[0]
-            data = np.asarray(payload, dtype="<f8").tobytes()
-        else:
-            rows, cols = payload.shape
-            data = np.asarray(payload, dtype="<c16").tobytes(order="F")
-        out.append(struct.pack(_BLOCK_HEADER, row_off, col_off, rows, cols))
-        out.append(data)
+def _layout(p: DyadicPartition, rank: int) -> list[_Factor]:
+    """Every factor's records, in file order.
+
+    A complex factor of grid (nodes, t, pairs) -- a leaf is (nodes, 1, 1) --
+    stores block [i, s, j] at row (its flat index) * rows and column
+    (i * pairs + j) * cols.  Middle block [i, j] sits at row (i*m + j) * rank
+    and column (j*m + i) * rank.  Every payload is a block transposed, i.e.
+    column-major; the middle weights read as a 1 x rank block.
+    ``expected`` builds the offset columns only when called, so the header
+    checks run before any array exists.
+    """
+    shapes, leaf_shape = chain_geometry(p, rank)
+
+    def factor(kind, level, shape, payload, expected):
+        dtype = np.dtype([("row_off", "<u8"), ("col_off", "<u8"),
+                          ("rows", "<u4"), ("cols", "<u4"),
+                          ("payload", *payload)])
+        count = math.prod(shape) // math.prod(payload[1])
+        return _Factor(kind, level, count, dtype, shape, expected)
+
+    def blocks(kind, level, shape, grid):
+        nodes, t, pairs = grid
+        rows, cols = shape[-2:]
+
+        def expected():
+            col = np.arange(nodes * pairs, dtype=np.uint64).reshape(nodes, 1, pairs)
+            return (np.arange(nodes * t * pairs, dtype=np.uint64) * rows,
+                    np.broadcast_to(col * cols, grid).ravel(), rows, cols)
+        return factor(kind, level, shape, ("<c16", (cols, rows)), expected)
+
+    def middle():
+        flat = np.arange(p.mid_nodes ** 2, dtype=np.uint64)
+        return (flat * rank, flat.reshape(p.mid_nodes, -1).T.ravel() * rank,
+                rank, rank)
+
+    leaf = (leaf_shape[0], 1, 1)
+    return ([blocks(KIND_U_OUTER, p.levels, leaf_shape, leaf)]
+            + [blocks(KIND_G, lvl, shape, shape[:3])
+               for lvl, shape in reversed(shapes)]
+            + [factor(KIND_MIDDLE, p.half, (p.mid_nodes, p.mid_nodes, rank),
+                      ("<f8", (rank, 1)), middle)]
+            + [blocks(KIND_H, lvl, shape, shape[:3]) for lvl, shape in shapes]
+            + [blocks(KIND_V_OUTER, p.levels, leaf_shape, leaf)])
 
 
 def save_factors(f: ButterflyFactors, path) -> None:
     """Write the chain so that save -> load -> save is byte-identical."""
-    order = _file_order(f)
+    arrays = [f.u_outer.blocks, *(tf.blocks for tf in reversed(f.g_chain)),
+              f.middle.weights, *(tf.blocks for tf in f.h_chain),
+              f.v_outer.blocks]
+    layout = _layout(f.partition, f.rank)
     chunks = [MAGIC, struct.pack(_HEADER, VERSION, f.n, f.partition.levels,
                                  f.rank),
-              struct.pack("<I", len(order))]
-    for kind, level, factor in order:
-        _write_factor(chunks, kind, level, factor)
+              struct.pack("<I", len(layout))]
+    for sec, array in zip(layout, arrays, strict=True):
+        records = np.empty(sec.count, dtype=sec.dtype)
+        for name, column in zip(_BLOCK_FIELDS, sec.expected()):
+            records[name] = column
+        block = sec.dtype["payload"].shape[::-1]
+        records["payload"] = array.reshape(sec.count, *block).swapaxes(-1, -2)
+        chunks.append(struct.pack(_FACTOR_HEADER, sec.kind, sec.level,
+                                  sec.count))
+        chunks.append(records.tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
-
-
-def _file_size(p: DyadicPartition, rank: int) -> int:
-    """Byte length of a version-2 file for this geometry."""
-    shapes, leaf_shape = chain_geometry(p, rank)
-    fixed = len(MAGIC) + struct.calcsize(_HEADER) + 4
-    per_factor = struct.calcsize(_FACTOR_HEADER)
-    per_block = struct.calcsize(_BLOCK_HEADER)
-
-    def complex_factor(shape):
-        blocks = math.prod(shape[:-2])
-        return per_factor + blocks * (per_block + 16 * shape[-2] * shape[-1])
-
-    middle = per_factor + p.mid_nodes ** 2 * (per_block + 8 * rank)
-    return (fixed + 2 * complex_factor(leaf_shape) + middle
-            + 2 * sum(complex_factor(shape) for _, shape in shapes))
 
 
 def _header_partition(n: int, levels: int, rank: int) -> DyadicPartition:
@@ -135,32 +168,43 @@ def _header_partition(n: int, levels: int, rank: int) -> DyadicPartition:
     return p
 
 
-def _read_blocks(rd: _Reader, kind: int, expected, rank: int):
-    """Fill a preallocated factor array in canonical block order."""
+def _read_factor(rd: _Reader, sec: _Factor):
+    """One factor, after checking every record against the layout."""
+    start = rd.offset
+    got = rd.unpack("<BI")
+    if got != (sec.kind, sec.level):
+        raise FormatError(f"factor (kind, level) {got}, expected "
+                          f"({sec.kind}, {sec.level})", start)
     (declared,) = rd.unpack("<Q")
-    blocks = list(expected.iter_blocks())
-    if declared != len(blocks):
-        raise FormatError(
-            f"factor kind {kind} declares {declared} blocks, "
-            f"geometry implies {len(blocks)}", rd.offset)
-    for row_off, col_off, target in blocks:
-        r0, c0, rows, cols = rd.unpack(_BLOCK_HEADER)
-        if kind == KIND_MIDDLE:
-            want = (rank, rank)
-        else:
-            want = target.shape
-        if (r0, c0) != (row_off, col_off) or (rows, cols) != want:
-            raise FormatError(
-                f"block header mismatch: got offsets ({r0}, {c0}) shape "
-                f"({rows}, {cols}), expected ({row_off}, {col_off}) {want}",
-                rd.offset)
-        if kind == KIND_MIDDLE:
-            raw = rd.take(8 * rank)
-            target[...] = np.frombuffer(raw, dtype="<f8")
-        else:
-            raw = rd.take(16 * rows * cols)
-            target[...] = np.frombuffer(raw, dtype="<c16").reshape(
-                (rows, cols), order="F")
+    if declared != sec.count:
+        raise FormatError(f"factor kind {sec.kind} declares {declared} "
+                          f"blocks, geometry implies {sec.count}", start + 5)
+    first = rd.offset
+    records = np.frombuffer(rd.take(sec.count * sec.dtype.itemsize), sec.dtype)
+
+    expected = sec.expected()
+    bad = np.zeros(sec.count, dtype=bool)
+    for name, column in zip(_BLOCK_FIELDS, expected):
+        bad |= records[name] != column
+    if bad.any():
+        b = int(np.argmax(bad))
+        got = tuple(int(records[name][b]) for name in _BLOCK_FIELDS)
+        want = tuple(int(np.broadcast_to(c, sec.count)[b]) for c in expected)
+        raise FormatError(f"block {b} of factor kind {sec.kind}: header "
+                          f"(row_off, col_off, rows, cols) {got}, expected "
+                          f"{want}", first + b * sec.dtype.itemsize)
+    array = np.ascontiguousarray(records["payload"].swapaxes(-1, -2))
+    finite = np.isfinite(array.reshape(sec.count, -1)).all(axis=1)
+    if not finite.all():
+        b = int(np.argmin(finite))
+        raise FormatError(f"block {b} of factor kind {sec.kind} holds NaN or "
+                          f"inf", first + b * sec.dtype.itemsize)
+    array = array.reshape(sec.shape)
+    if sec.kind == KIND_MIDDLE:
+        return MiddleFactor(array)
+    if sec.kind in (KIND_G, KIND_H):
+        return TransferFactor(sec.level, array)
+    return BlockDiagonalFactor(array)
 
 
 def load_factors(path) -> ButterflyFactors:
@@ -174,32 +218,25 @@ def load_factors(path) -> ButterflyFactors:
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", 4)
     p = _header_partition(n, levels, rank)
-    shapes, leaf_shape = chain_geometry(p, rank)
+    try:
+        layout = _layout(p, rank)
+    except ValueError as exc:  # one block record beyond numpy's 2 GiB
+        raise FormatError(f"bad geometry: {exc}", 8) from exc
     (count,) = rd.unpack("<I")
-    if count != 3 + 2 * len(shapes):
+    if count != len(layout):
         raise FormatError(f"factor count {count} does not match geometry",
                           rd.offset - 4)
-    size = _file_size(p, rank)
+    size = rd.offset + sum(struct.calcsize(_FACTOR_HEADER)
+                           + sec.count * sec.dtype.itemsize for sec in layout)
     if size != len(rd.data):
         raise FormatError(f"file holds {len(rd.data)} bytes, header implies "
                           f"{size}", min(size, len(rd.data)))
-
-    def leaf():
-        return BlockDiagonalFactor(np.zeros(leaf_shape, dtype=np.complex128))
-
-    def chain():
-        return tuple(TransferFactor(lvl, np.zeros(shape, dtype=np.complex128))
-                     for lvl, shape in shapes)
-
-    middle = MiddleFactor(np.zeros((p.mid_nodes, p.mid_nodes, rank)))
-    f = ButterflyFactors(p, rank, leaf(), chain(), middle, chain(), leaf())
-    for kind, level, target in _file_order(f):
-        got = rd.unpack("<BI")
-        if got != (kind, level):
-            raise FormatError(f"factor (kind, level) {got}, expected "
-                              f"({kind}, {level})", rd.offset - 5)
-        _read_blocks(rd, kind, target, rank)
-    return f
+    factors = [_read_factor(rd, sec) for sec in layout]
+    depth = (len(layout) - 3) // 2
+    return ButterflyFactors(p, rank, factors[0],
+                            tuple(reversed(factors[1:depth + 1])),
+                            factors[depth + 1], tuple(factors[depth + 2:-1]),
+                            factors[-1])
 
 
 def write_vector(path, g: np.ndarray) -> None:

@@ -116,6 +116,39 @@ def test_criterion_4_construction_scaling():
     assert 4.0 <= r2 <= 16.0
 
 
+class CountingOracle:
+    """Entry oracle that counts the entries it evaluates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.shape = inner.shape
+        self.entries = 0
+
+    def block(self, rows, cols):
+        self.entries += np.size(rows) * np.size(cols)
+        return self.inner.block(rows, cols)
+
+
+def test_sampling_cost_scales_as_n15_r():
+    # The machine-independent twin of criterion 4: entries the sampling
+    # construction evaluates, against the O(n^1.5 r) cost of the paper.
+    # Leaf 1, r=4 keeps every middle block below the dense limit, so each
+    # goes through the randomized sampling engine.  At the time of writing
+    # the constants are 28.4 (n=256) and 30.0 (n=1024); a sampler that grew
+    # as n^2 would double the constant from one size to the next.
+    r = 4
+    constants = {}
+    for n in (256, 1024):
+        oracle = CountingOracle(FioKernel(n))
+        factorize(oracle, make_partition(n, 1), r, seed=0, mode="sampling")
+        constants[n] = oracle.entries / (n ** 1.5 * r)
+    growth = constants[1024] / constants[256]
+    print(f"sampling cost: entries / (n^1.5 r) = {constants}, "
+          f"growth {growth:.3f} in [0.8, 1.25]")
+    assert all(c <= 36.0 for c in constants.values())
+    assert 0.8 <= growth <= 1.25
+
+
 def test_criterion_5_apply_cost():
     r = 4
     ratios = []

@@ -48,6 +48,20 @@ def test_apply_zero_vector_gives_zero_file(tmp_path):
     assert np.array_equal(read_vector(vec_out), np.zeros(64, dtype=complex))
 
 
+def test_apply_rejects_non_finite_vector(tmp_path, capsys):
+    fac = tmp_path / "k.bfac"
+    run("factor", "--kernel", "fio", "--n", "64", "--rank", "2",
+        "--out", str(fac))
+    g = np.ones(64, dtype=complex)
+    g[17] = np.inf
+    vec_in = tmp_path / "inf.vec"
+    write_vector(vec_in, g)
+    assert run("apply", "--factors", str(fac), "--input", str(vec_in),
+               "--output", str(tmp_path / "out.vec")) == 1
+    assert "input row 17" in capsys.readouterr().err
+    assert not (tmp_path / "out.vec").exists()
+
+
 def test_verify_reports_errors_and_tolerance(tmp_path, capsys):
     assert run("verify", "--kernel", "fio", "--n", "128", "--rank", "6",
                "--seed", "1") == 0

@@ -25,6 +25,18 @@ def test_apply_rejects_bad_length(fio_factors):
         fio_factors.apply_adjoint(np.zeros(64))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_apply_rejects_non_finite_rows(fio_factors, rng, bad):
+    block = complex_gaussian(rng, (128, 3))
+    block[41, 2] = bad
+    block[90, 0] = bad
+    for apply in (fio_factors.apply, fio_factors.apply_adjoint):
+        with pytest.raises(ValueError, match="input row 41 "):
+            apply(block)
+        with pytest.raises(ValueError, match="input row 90 "):
+            apply(block[:, 0])
+
+
 def test_apply_is_linear(fio_factors, rng):
     x = complex_gaussian(rng, 128)
     y = complex_gaussian(rng, 128)
@@ -99,3 +111,29 @@ def test_dense_factor_views_compose(rng):
         full = full @ tf.dense().conj().T
     full = full @ f.v_outer.dense().conj().T
     assert np.allclose(full, f.dense(), atol=1e-12)
+
+
+def test_dense_places_blocks_at_their_offsets(rng):
+    # reference: every block written at its documented offset, one by one
+    f = random_exact_chain(make_partition(64, 0.25), 3, rng)
+    for tf in f.g_chain:
+        nodes, t, pairs, k_out, two_k = tf.blocks.shape
+        want = np.zeros(tf.shape, dtype=complex)
+        for i, s, j in np.ndindex(nodes, t, pairs):
+            r0 = ((i * t + s) * pairs + j) * k_out
+            c0 = (i * pairs + j) * two_k
+            want[r0:r0 + k_out, c0:c0 + two_k] = tf.blocks[i, s, j]
+        assert np.array_equal(tf.dense(), want)
+    nb, rows, cols = f.u_outer.blocks.shape
+    want = np.zeros(f.u_outer.shape, dtype=complex)
+    for b in range(nb):
+        want[b * rows:(b + 1) * rows, b * cols:(b + 1) * cols] = \
+            f.u_outer.blocks[b]
+    assert np.array_equal(f.u_outer.dense(), want)
+    m, r = f.middle.m, f.middle.rank
+    want = np.zeros(f.middle.shape, dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            r0, c0 = (i * m + j) * r, (j * m + i) * r
+            want[r0:r0 + r, c0:c0 + r] = np.diag(f.middle.weights[i, j])
+    assert np.array_equal(f.middle.dense(), want)

@@ -1,11 +1,15 @@
+import hashlib
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from butterfly import (FioKernel, factorize, factors_equal, load_factors,
-                       make_partition, read_vector, save_factors,
-                       write_vector)
+from butterfly import (BlockDiagonalFactor, ButterflyFactors, FioKernel,
+                       MiddleFactor, TransferFactor, factorize, factors_equal,
+                       load_factors, make_partition, read_vector,
+                       save_factors, write_vector)
+from butterfly.factors import chain_geometry
 from butterfly.storage import FormatError
 
 from conftest import complex_gaussian
@@ -90,6 +94,8 @@ def _header(version=2, n=64, levels=8, rank=3, count=11):
     (_header(n=64, levels=8, rank=5), 20),         # rank above mid_side 4
     (_header(n=64, levels=8, rank=0), 20),
     (_header(count=12), 24),
+    # a 2**32 x 1 leaf block: one 64 GiB record, beyond numpy's dtype limit
+    (_header(n=2 ** 34, levels=2, rank=1, count=5), 8),
 ])
 def test_bad_header_fields_rejected(tmp_path, header, offset):
     path = tmp_path / "f.bfac"
@@ -120,3 +126,101 @@ def test_reordered_factors_rejected(factors, tmp_path):
     with pytest.raises(FormatError) as err:
         load_factors(path)
     assert err.value.offset == 28
+
+
+#: sha256 of ``arange_chain(make_partition(64, 0.25), 3)`` in version 2, as
+#: the block-by-block writer produced it; any change to the bytes fails.
+GOLDEN_SHA256 = \
+    "4498df0d4766eb67854f6d55ebe73f41cc76c80e90f0df7fb96b9045c81b9f2a"
+
+
+def arange_chain(p, rank):
+    """Chain with every array filled from a running arange: deterministic
+    bytes without any LAPACK call."""
+    shapes, leaf_shape = chain_geometry(p, rank)
+    start = 0
+
+    def values(shape):
+        nonlocal start
+        k = np.arange(start, start + math.prod(shape), dtype=float)
+        start += k.size
+        return k.reshape(shape)
+
+    def cplx(shape):
+        k = values(shape)
+        return (k + 0.5) / 3.0 - 1j * k / 7.0
+
+    u = BlockDiagonalFactor(cplx(leaf_shape))
+    g = tuple(TransferFactor(lvl, cplx(shape)) for lvl, shape in shapes)
+    mid = MiddleFactor((values((p.mid_nodes, p.mid_nodes, rank)) + 1.0) / 5.0)
+    h = tuple(TransferFactor(lvl, cplx(shape)) for lvl, shape in shapes)
+    v = BlockDiagonalFactor(cplx(leaf_shape))
+    return ButterflyFactors(p, rank, u, g, mid, h, v)
+
+
+def record_sections(p, rank):
+    """(first record byte, block count, record bytes) per factor in file
+    order, from the documented format alone."""
+    shapes, leaf_shape = chain_geometry(p, rank)
+    complex_ = [(math.prod(s[:-2]), 24 + 16 * s[-2] * s[-1])
+                for s in [leaf_shape] + [s for _, s in reversed(shapes)]]
+    middle = [(p.mid_nodes ** 2, 24 + 8 * rank)]
+    mirrored = complex_[:0:-1] + complex_[:1]
+    sections, offset = [], 28
+    for count, size in complex_ + middle + mirrored:
+        sections.append((offset + 13, count, size))
+        offset += 13 + count * size
+    return sections
+
+
+@pytest.fixture
+def golden(tmp_path):
+    p = make_partition(64, 0.25)
+    path = tmp_path / "golden.bfac"
+    save_factors(arange_chain(p, 3), path)
+    return p, path
+
+
+def test_bytes_match_frozen_digest(golden):
+    p, path = golden
+    data = path.read_bytes()
+    first, count, size = record_sections(p, 3)[-1]
+    assert len(data) == first + count * size == 194731
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
+    assert factors_equal(load_factors(path), arange_chain(p, 3))
+
+
+def test_block_header_mismatch_reports_its_offset(golden):
+    # left transfer level 5, the fourth factor in the file, holds a
+    # (32, 2, 4) grid of 1 x 4 blocks: block [i, s, j] sits at column
+    # (i * 4 + j) * 4
+    p, path = golden
+    first, count, size = record_sections(p, 3)[3]
+    block = count // 2 + 1
+    start = first + block * size
+    data = bytearray(path.read_bytes())
+    row_off, col_off = struct.unpack_from("<QQ", data, start)
+    i, _, j = np.unravel_index(block, (32, 2, 4))
+    assert (row_off, col_off) == (block, (i * 4 + j) * 4)
+    struct.pack_into("<Q", data, start + 8, col_off + 4)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=f"block {block} ") as err:
+        load_factors(path)
+    assert err.value.offset == start
+
+
+@pytest.mark.parametrize("factor, bad", [(3, np.nan), (5, np.inf),
+                                         (9, -np.inf)])
+def test_non_finite_payload_reports_its_block(golden, factor, bad):
+    # factors 3 and 9 are left level 5 and right level 6; 5 is the middle
+    p, path = golden
+    first, count, size = record_sections(p, 3)[factor]
+    block = count - 2
+    start = first + block * size
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<d", data, start + size - 8, bad)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=f"block {block} .*NaN or inf") \
+            as err:
+        load_factors(path)
+    assert err.value.offset == start
