@@ -1,11 +1,12 @@
 """Bessel functions J_m, Y_m and the first-kind Hankel function H1_m.
 
-Order sweeps follow the classic recipe: seed orders 0 and 1 with Cephes-style
-rational approximations, run the three-term recurrence upward for Y, and run
-Miller's normalized backward recurrence for J.  The backward start index sits
-past the turning point m ~ x, so accuracy holds in the oscillatory regime
-x > m used by the Hankel-sum operator (x >= n, orders < n).  Everything is
-vectorized over a batch of arguments.
+Orders 0 and 1 come from Cephes-style rational approximations; higher
+orders of H1 = J + iY come from the three-term recurrence run upward.
+Below the turning point (x > m) J and Y are both oscillatory and the
+recurrence is stable for H1 (Gautschi, SIAM Rev. 9, 1967), which is the
+regime of the Hankel-sum operator (x >= n, orders < n); order sweeps
+therefore refuse any x <= max_order.  Everything is vectorized over a
+batch of arguments, and each value depends on its argument and order alone.
 """
 
 from __future__ import annotations
@@ -176,55 +177,32 @@ def bessel_y1(x):
 
 
 def bessel_jy_sweep(x, max_order: int):
-    """All orders 0..max_order of J and Y at each point of ``x``.
-
-    Y runs upward from the order-0/1 seeds; J runs Miller's backward
-    recurrence from beyond the turning point, normalized by the even-order
-    sum rule J0 + 2*(J2 + J4 + ...) = 1.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if (x <= 0).any():
-        raise ValueError("order sweep requires x > 0")
-    nx = x.shape[0]
-    width = max_order + 1
-
-    js = np.empty((nx, width))
-    ys = np.empty((nx, width))
-    ys[:, 0] = bessel_y0(x)
-    if max_order >= 1:
-        ys[:, 1] = bessel_y1(x)
-        for m in range(1, max_order):
-            ys[:, m + 1] = (2.0 * m / x) * ys[:, m] - ys[:, m - 1]
-
-    start = int(np.max(x + 10.0 * np.cbrt(x) + 40.0))
-    start = max(start, max_order + 15)
-    jp = np.zeros(nx)
-    jc = np.full(nx, 1e-150)
-    norm = np.zeros(nx)
-    if start % 2 == 0:
-        norm += 2.0 * jc
-    for m in range(start, 0, -1):
-        jn = (2.0 * m / x) * jc - jp
-        jp, jc = jc, jn
-        order = m - 1
-        if order <= max_order:
-            js[:, order] = jc
-        if order > 0 and order % 2 == 0:
-            norm += 2.0 * jc
-        if m % 16 == 0:
-            big = np.abs(jc) > 1e200
-            if big.any():
-                jp[big] *= 1e-200
-                jc[big] *= 1e-200
-                norm[big] *= 1e-200
-                if order <= max_order:
-                    js[big, order:] *= 1e-200
-    norm += jc  # order 0 term
-    js /= norm[:, None]
-    return js, ys
+    """All orders 0..max_order of J and Y at each point of ``x``: the real
+    and imaginary parts of :func:`hankel1_orders`."""
+    h = hankel1_orders(x, max_order)
+    return h.real, h.imag
 
 
 def hankel1_orders(x, max_order: int) -> np.ndarray:
-    """H1_m(x) for m = 0..max_order, shape (len(x), max_order + 1)."""
-    js, ys = bessel_jy_sweep(x, max_order)
-    return js + 1j * ys
+    """H1_m(x) for m = 0..max_order, shape (len(x), max_order + 1).
+
+    Runs h[m+1] = (2m/x) h[m] - h[m-1] upward from the order-0/1 seeds,
+    which is stable only below the turning point: every x must exceed
+    ``max_order``.  Each value depends on its (x, m) alone.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if (x <= max(max_order, 0)).any():
+        raise ValueError(f"upward recurrence to order {max_order} requires "
+                         f"x > {max(max_order, 0)}")
+    # one row per order, so each step works on contiguous rows; the real
+    # coefficients are held complex so a step is two plain ufunc calls
+    h = np.empty((max_order + 1, x.shape[0]), dtype=np.complex128)
+    h[0] = bessel_j0(x) + 1j * bessel_y0(x)
+    if max_order >= 1:
+        h[1] = bessel_j1(x) + 1j * bessel_y1(x)
+    coef = (2.0 * np.arange(max_order + 1))[:, None] / x
+    coef = coef.astype(np.complex128)
+    for m in range(1, max_order):
+        np.multiply(coef[m], h[m], out=h[m + 1])
+        np.subtract(h[m + 1], h[m - 1], out=h[m + 1])
+    return np.ascontiguousarray(h.T)

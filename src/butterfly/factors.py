@@ -40,6 +40,27 @@ def chain_geometry(p: DyadicPartition, r: int):
     return shapes, (nodes, rows, k)
 
 
+def _adjoint_sum(blocks: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """sum_s blocks[:, s]* @ win[:, s] for blocks (nodes, t, ..., rows, cols).
+
+    One vector is conjugated instead of the blocks, B* w = conj(B^T conj(w)),
+    so a single-vector apply copies no factor; a wider block conjugates the
+    factor once rather than every vector.
+    """
+    one = win.shape[-1] == 1
+    bt = blocks.swapaxes(-1, -2)
+    if one:
+        win = win.conj()
+    else:
+        bt = bt.conj()
+    # Accumulate over t in place: materialising the t-times larger
+    # product and summing it made every block apply fault fresh pages.
+    out = bt[:, 0] @ win[:, 0]
+    for s in range(1, blocks.shape[1]):
+        out += bt[:, s] @ win[:, s]
+    return np.conjugate(out, out=out) if one else out
+
+
 @dataclass(frozen=True)
 class BlockDiagonalFactor:
     """Uniform block diagonal: blocks[b] sits at (b*rows, b*cols)."""
@@ -64,7 +85,7 @@ class BlockDiagonalFactor:
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         nb, rows, cols = self.blocks.shape
-        out = self.blocks.conj().transpose(0, 2, 1) @ w.reshape(nb, rows, -1)
+        out = _adjoint_sum(self.blocks[:, None], w.reshape(nb, 1, rows, -1))
         return out.reshape(nb * cols, -1)
 
 
@@ -100,13 +121,7 @@ class TransferFactor:
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         nodes, t, pairs, k_out, two_k = self.blocks.shape
-        win = w.reshape(nodes, t, pairs, k_out, -1)
-        bstar = self.blocks.conj().swapaxes(-1, -2)
-        # Accumulate over t in place: materialising the t-times larger
-        # product and summing it made every block apply fault fresh pages.
-        out = bstar[:, 0] @ win[:, 0]
-        for s in range(1, t):
-            out += bstar[:, s] @ win[:, s]
+        out = _adjoint_sum(self.blocks, w.reshape(nodes, t, pairs, k_out, -1))
         return out.reshape(nodes * pairs * two_k, -1)
 
 

@@ -41,9 +41,10 @@ class FioKernel:
 class HankelKernel:
     """K[i, j] = H1_j(x_i) with x_i = n + (2*pi/3)*i, bounded away from zero.
 
-    Row evaluations share one backward/forward recurrence sweep per point, so
+    A row's orders come from one upward recurrence over all of them, so
     full rows are cached (dimension permitting): every later lookup on the
-    same row is free.
+    same row is free.  Each value depends on its (x_i, j) alone, so cached
+    and uncached blocks are bit-identical.
     """
 
     def __init__(self, n: int, cache: bool | None = None):

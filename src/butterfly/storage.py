@@ -87,6 +87,12 @@ class _Factor(NamedTuple):
     shape: tuple                # the factor's array
     expected: Callable          # () -> the four header columns
 
+    @property
+    def nbytes(self) -> int:
+        """File bytes of the factor: its header and its records."""
+        return (struct.calcsize(_FACTOR_HEADER)
+                + self.count * self.dtype.itemsize)
+
 
 def _layout(p: DyadicPartition, rank: int) -> list[_Factor]:
     """Every factor's records, in file order.
@@ -134,25 +140,38 @@ def _layout(p: DyadicPartition, rank: int) -> list[_Factor]:
 
 
 def save_factors(f: ButterflyFactors, path) -> None:
-    """Write the chain so that save -> load -> save is byte-identical."""
+    """Write the chain so that save -> load -> save is byte-identical.
+
+    The file is assembled once, each factor's records filled in place, and
+    written with one call.  Every array shape is checked against the
+    geometry first, so a misshapen chain raises and leaves no file behind.
+    """
     arrays = [f.u_outer.blocks, *(tf.blocks for tf in reversed(f.g_chain)),
               f.middle.weights, *(tf.blocks for tf in f.h_chain),
               f.v_outer.blocks]
     layout = _layout(f.partition, f.rank)
-    chunks = [MAGIC, struct.pack(_HEADER, VERSION, f.n, f.partition.levels,
-                                 f.rank),
-              struct.pack("<I", len(layout))]
     for sec, array in zip(layout, arrays, strict=True):
-        records = np.empty(sec.count, dtype=sec.dtype)
+        if array.shape != sec.shape:
+            raise ValueError(f"factor kind {sec.kind} at level {sec.level} "
+                             f"has shape {array.shape}, geometry implies "
+                             f"{sec.shape}")
+    head = (MAGIC + struct.pack(_HEADER, VERSION, f.n, f.partition.levels,
+                                f.rank) + struct.pack("<I", len(layout)))
+    data = np.empty(len(head) + sum(sec.nbytes for sec in layout), np.uint8)
+    data[:len(head)] = np.frombuffer(head, np.uint8)
+    start = len(head)
+    for sec, array in zip(layout, arrays):
+        struct.pack_into(_FACTOR_HEADER, data, start, sec.kind, sec.level,
+                         sec.count)
+        first = start + struct.calcsize(_FACTOR_HEADER)
+        start += sec.nbytes
+        records = data[first:start].view(sec.dtype)
         for name, column in zip(_BLOCK_FIELDS, sec.expected()):
             records[name] = column
         block = sec.dtype["payload"].shape[::-1]
         records["payload"] = array.reshape(sec.count, *block).swapaxes(-1, -2)
-        chunks.append(struct.pack(_FACTOR_HEADER, sec.kind, sec.level,
-                                  sec.count))
-        chunks.append(records.tobytes())
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(data)
 
 
 def _header_partition(n: int, levels: int, rank: int) -> DyadicPartition:
@@ -226,8 +245,7 @@ def load_factors(path) -> ButterflyFactors:
     if count != len(layout):
         raise FormatError(f"factor count {count} does not match geometry",
                           rd.offset - 4)
-    size = rd.offset + sum(struct.calcsize(_FACTOR_HEADER)
-                           + sec.count * sec.dtype.itemsize for sec in layout)
+    size = rd.offset + sum(sec.nbytes for sec in layout)
     if size != len(rd.data):
         raise FormatError(f"file holds {len(rd.data)} bytes, header implies "
                           f"{size}", min(size, len(rd.data)))

@@ -58,3 +58,31 @@ def test_order_sweep_against_independent_oracle():
 def test_sweep_rejects_nonpositive():
     with pytest.raises(ValueError):
         bessel_jy_sweep(np.array([0.0]), 3)
+
+
+@pytest.mark.parametrize("x, max_order", [([100.0, 50.0], 50),
+                                          ([100.0, 49.5], 50), ([1.0], 1),
+                                          ([-3.0], 0)])
+def test_orders_reject_points_at_or_below_max_order(x, max_order):
+    # the upward recurrence is only stable below the turning point
+    with pytest.raises(ValueError):
+        hankel1_orders(np.array(x), max_order)
+
+
+def test_orders_are_bit_equal_across_batches():
+    n = 512
+    rng = np.random.default_rng(11)
+    x = n + (2 * np.pi / 3) * rng.permutation(n)[:48].astype(float)
+    full = hankel1_orders(x, n - 1)
+    assert np.array_equal(hankel1_orders(x[:16], n - 1), full[:16])
+    assert np.array_equal(hankel1_orders(x[40:], n - 1), full[40:])
+    for k in (0, 1, 37, n - 2):
+        assert np.array_equal(hankel1_orders(x, k), full[:, :k + 1])
+
+
+def test_turning_point_against_independent_oracle():
+    # row x = n meets order n - 1 where the recurrence has run longest
+    n = 4096
+    got = hankel1_orders(np.array([float(n)]), n - 1)[0, -1]
+    want = scipy.special.hankel1(n - 1, float(n))
+    assert abs(got - want) <= 1e-10 * abs(want)

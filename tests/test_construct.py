@@ -195,10 +195,10 @@ def test_factorize_dense_error_small_fio():
 
 
 # (kernel, n, target_leaf, r): the first two have middle blocks at the dense
-# limit (r*q >= side), the last goes through the randomized sampling engine
-# (side 16, r*q = 12).
+# limit (r*q >= side), the last two go through the randomized sampling
+# engine (side 16, r*q = 12).
 STREAMING_CASES = [(FioKernel, 128, 0.25, 4), (HankelKernel, 64, 0.25, 3),
-                   (FioKernel, 256, 1, 4)]
+                   (FioKernel, 256, 1, 4), (HankelKernel, 256, 1, 4)]
 
 
 @pytest.mark.parametrize("kernel, n, leaf, r", STREAMING_CASES)

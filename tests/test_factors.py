@@ -137,3 +137,16 @@ def test_dense_places_blocks_at_their_offsets(rng):
             r0, c0 = (i * m + j) * r, (j * m + i) * r
             want[r0:r0 + r, c0:c0 + r] = np.diag(f.middle.weights[i, j])
     assert np.array_equal(f.middle.dense(), want)
+
+
+def test_one_vector_adjoint_matches_block_path(rng):
+    # one vector conjugates itself instead of the blocks; a wider block
+    # still conjugates the blocks, and both must agree on every factor
+    n = 256
+    f = factorize(FioKernel(n), make_partition(n, 1), 4, seed=0)
+    for fac in [f.u_outer, *f.g_chain, *f.h_chain, f.v_outer]:
+        w = complex_gaussian(rng, (fac.shape[0], 2))
+        one = fac.adjoint(w[:, :1])
+        wide = fac.adjoint(w)[:, :1]
+        assert one.shape == wide.shape
+        assert np.linalg.norm(one - wide) <= 1e-14 * np.linalg.norm(wide)

@@ -4,7 +4,8 @@ import scipy.special
 
 from butterfly import (ComposedOperator, DenseOracle, DftKernel,
                        EntryFunctionOracle, FioKernel, HankelKernel,
-                       dense_matrix, dft_apply, factorize, make_partition)
+                       dense_matrix, dft_apply, factorize, factors_equal,
+                       make_partition)
 from butterfly.bessel import hankel1_orders
 
 from conftest import complex_gaussian
@@ -48,6 +49,16 @@ def test_hankel_uncached_path_matches():
     a = HankelKernel(64, cache=True).block([3, 10], [0, 5, 63])
     b = HankelKernel(64, cache=False).block([3, 10], [0, 5, 63])
     assert np.allclose(a, b, rtol=1e-12)
+
+
+def test_hankel_cached_and_uncached_factors_are_bit_equal():
+    # a value depends only on its (x, order), not on the rows that share
+    # its evaluation, so the row cache cannot change a factor
+    n = 128
+    p = make_partition(n, 1)
+    a = factorize(HankelKernel(n, cache=False), p, 4, seed=3)
+    b = factorize(HankelKernel(n, cache=True), p, 4, seed=3)
+    assert factors_equal(a, b)
 
 
 def test_dense_matrix_identity_oracle():

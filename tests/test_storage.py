@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,3 +226,29 @@ def test_non_finite_payload_reports_its_block(golden, factor, bad):
             as err:
         load_factors(path)
     assert err.value.offset == start
+
+
+def test_save_rejects_misshapen_chain_before_writing(factors, tmp_path):
+    # transposed blocks hold the right number of entries in the wrong shape
+    path = tmp_path / "f.bfac"
+    top = factors.g_chain[-1]
+    assert top.blocks.shape[-1] != top.blocks.shape[-2]
+    swapped = TransferFactor(top.level, top.blocks.swapaxes(-1, -2))
+    bad = dataclasses.replace(factors, g_chain=(*factors.g_chain[:-1], swapped))
+    with pytest.raises(ValueError):
+        save_factors(bad, path)
+    assert not path.exists()
+
+
+def test_save_holds_the_file_once(tmp_path):
+    # records are filled in place in one file buffer, with no second copy
+    n = 256
+    f = factorize(FioKernel(n), make_partition(n, 0.25), 4, seed=0)
+    path = tmp_path / "f.bfac"
+    tracemalloc.start()
+    try:
+        save_factors(f, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
