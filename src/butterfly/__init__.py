@@ -7,18 +7,16 @@ O(n log n) flops.
 
 from .bench import (BenchConfig, BenchReport, BenchRow, OperatorReference,
                     RowSampledReference, estimate_eps_a, run_bench)
-from .construct import (block_diagonal_probe, factorize,
-                        middle_factorization_matvec,
+from .construct import (factorize, middle_factorization_matvec,
                         middle_factorization_sampling, recursive_factor_u,
                         recursive_factor_v)
 from .factors import (BlockDiagonalFactor, ButterflyFactors, MiddleFactor,
                       NnzReport, TransferFactor, factors_equal)
-from .kernels import (ComposedOperator, DftKernel, FioKernel, HankelKernel,
-                      dense_matrix, dft_apply)
-from .lowrank import (LowRankApprox, OversamplingParams,
-                      randomized_sampling_svd, randomized_svd, truncated_svd)
-from .oracles import (BlockView, DenseOracle, EntryFunctionOracle,
-                      OracleError)
+from .kernels import (ComposedOperator, FioKernel, HankelKernel, dense_matrix,
+                      dft_apply)
+from .lowrank import (LowRankApprox, randomized_sampling_svd, randomized_svd,
+                      truncated_svd)
+from .oracles import BlockView, DenseOracle, OracleError
 from .partition import DyadicPartition, make_partition
 from .storage import (FormatError, load_factors, read_vector, save_factors,
                       write_vector)

@@ -19,7 +19,7 @@ import numpy as np
 from .construct import factorize
 from .factors import ButterflyFactors
 from .kernels import ComposedOperator, FioKernel, HankelKernel
-from .lowrank import DEFAULT_PARAMS, OversamplingParams, complex_normal
+from .lowrank import complex_normal
 from .partition import make_partition
 
 KERNELS = ("fio", "hankel", "composition")
@@ -107,7 +107,6 @@ class BenchConfig:
     sample_count: int = 256
     output_format: str = "json"
     target_leaf: float = DEFAULT_LEAF
-    params: OversamplingParams = DEFAULT_PARAMS
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
@@ -179,7 +178,7 @@ def build_operator(kernel: str, n: int, r: int, cfg: BenchConfig):
     if kernel == "hankel":
         entry = HankelKernel(n)
         return p, entry, RowSampledReference(entry), cfg.mode
-    inner = factorize(FioKernel(n), p, r, cfg.params,
+    inner = factorize(FioKernel(n), p, r,
                       seed=derive_seed(cfg.seed, _INNER_DOMAIN), mode="sampling")
     composed = ComposedOperator(inner)
     return p, composed, OperatorReference(composed), "matvec"
@@ -202,7 +201,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
 def _run_row(cfg: BenchConfig, idx: int, row: BenchRow) -> None:
     p, oracle, reference, mode = build_operator(cfg.kernel, row.n, row.r, cfg)
     start = time.perf_counter()
-    factors = factorize(oracle, p, row.r, cfg.params, seed=cfg.seed, mode=mode)
+    factors = factorize(oracle, p, row.r, seed=cfg.seed, mode=mode)
     row.t_factor_s = time.perf_counter() - start
 
     rng = np.random.default_rng(

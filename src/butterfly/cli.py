@@ -15,7 +15,6 @@ from .bench import (DEFAULT_LEAF, BenchConfig, OperatorReference,
                     run_bench)
 from .construct import factorize
 from .kernels import DENSE_CAP, dense_matrix
-from .lowrank import OversamplingParams
 from .partition import make_partition
 from .storage import load_factors, read_vector, save_factors, write_vector
 
@@ -41,9 +40,6 @@ def _add_problem_args(sub, with_out: bool):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--leaf", type=float, default=DEFAULT_LEAF,
                      help="target leaf size of the dyadic trees")
-    sub.add_argument("--oversample-p", type=int, default=5)
-    sub.add_argument("--oversample-q", type=int, default=3)
-    sub.add_argument("--iters", type=int, default=3)
     if with_out:
         sub.add_argument("--out", required=True)
 
@@ -88,19 +84,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _params(args) -> OversamplingParams:
-    return OversamplingParams(p=args.oversample_p, q=args.oversample_q,
-                              iters=args.iters)
-
-
 def _build(args):
     cfg = BenchConfig(kernel=args.kernel, n_list=(args.n,),
                       rank_list=(args.rank,), mode=args.mode, seed=args.seed,
-                      target_leaf=args.leaf, params=_params(args))
+                      target_leaf=args.leaf)
     p, oracle, reference, mode = build_operator(args.kernel, args.n,
                                                 args.rank, cfg)
-    factors = factorize(oracle, p, args.rank, cfg.params, seed=args.seed,
-                        mode=mode)
+    factors = factorize(oracle, p, args.rank, seed=args.seed, mode=mode)
     return factors, oracle, reference
 
 

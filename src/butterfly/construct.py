@@ -29,7 +29,7 @@ import numpy as np
 
 from .factors import (BlockDiagonalFactor, ButterflyFactors, MiddleFactor,
                       TransferFactor, chain_geometry)
-from .lowrank import (DEFAULT_PARAMS, LowRankApprox, at_dense_limit,
+from .lowrank import (PROBE_OVERSAMPLING, LowRankApprox, at_dense_limit,
                       complex_normal, floored_inverse, randomized_sampling_svd,
                       svd_from_probes, truncated_svd)
 from .oracles import BlockView, OracleError, is_entry_oracle, is_operator_oracle
@@ -57,7 +57,7 @@ def _non_finite(source, i, j) -> OracleError:
                        f"block ({i}, {j})")
 
 
-def _sample_block(entry, p, r, params, seed, i, j):
+def _sample_block(entry, p, r, seed, i, j):
     sub = BlockView(entry, p.node_range(p.half, i), p.node_range(p.half, j))
 
     def finite_block(rows, cols):
@@ -69,14 +69,14 @@ def _sample_block(entry, p, r, params, seed, i, j):
     rng = block_rng(seed, _SAMPLING_DOMAIN, i, j)
     try:
         return randomized_sampling_svd(finite_block, sub.shape[0],
-                                       sub.shape[1], r, params, rng)
+                                       sub.shape[1], r, rng)
     except OracleError:
         raise
     except Exception as exc:  # keep the failing block identifiable
         raise OracleError(f"entry oracle failed on middle block ({i}, {j})") from exc
 
 
-def _entry_line(entry, p, r, params, seed, k, column=False) -> LowRankApprox:
+def _entry_line(entry, p, r, seed, k, column=False) -> LowRankApprox:
     """Stacked rank-r triples of the m blocks of block row k.
 
     With ``column`` the line is block column k, returned as block row k of
@@ -87,7 +87,7 @@ def _entry_line(entry, p, r, params, seed, k, column=False) -> LowRankApprox:
     def block_id(other):
         return (other, k) if column else (k, other)
 
-    if at_dense_limit(side, side, r, params):
+    if at_dense_limit(side, side, r):
         node, every = np.asarray(p.node_range(p.half, k)), np.arange(p.n)
         try:
             values = (entry.block(every, node) if column
@@ -103,7 +103,7 @@ def _entry_line(entry, p, r, params, seed, k, column=False) -> LowRankApprox:
             raise _non_finite("entry oracle", *block_id(bad))
         apx = truncated_svd(blocks, r)
     else:
-        parts = [_sample_block(entry, p, r, params, seed, *block_id(other))
+        parts = [_sample_block(entry, p, r, seed, *block_id(other))
                  for other in range(m)]
         apx = LowRankApprox(np.stack([a.u0 for a in parts]),
                             np.stack([a.sigma0 for a in parts]),
@@ -138,11 +138,10 @@ def _middle_level(p: DyadicPartition, r: int, lines):
             BlockDiagonalFactor(v.reshape(m, side, m * r)))
 
 
-def middle_factorization_sampling(entry, p: DyadicPartition, r: int,
-                                  params=DEFAULT_PARAMS, seed=0):
+def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization through an entry oracle, by block row."""
     m, _ = _middle_shapes(p, r)
-    return _middle_level(p, r, (_entry_line(entry, p, r, params, seed, i)
+    return _middle_level(p, r, (_entry_line(entry, p, r, seed, i)
                                 for i in range(m)))
 
 
@@ -179,8 +178,7 @@ def _check_probe_products(k_cols, k_rows, m, side, width):
         raise _non_finite("operator oracle", i, j)
 
 
-def middle_factorization_matvec(op, p: DyadicPartition, r: int,
-                                params=DEFAULT_PARAMS, seed=0):
+def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization from black-box applications of K and K*.
 
     One structured probe per side feeds every middle block: the column probe
@@ -189,7 +187,7 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int,
     the stored products alone, in one stacked pass.
     """
     m, side = _middle_shapes(p, r)
-    width = min(r + params.p, side)  # full-block probes once blocks are small
+    width = min(r + PROBE_OVERSAMPLING, side)  # whole blocks once they are small
     col_probe = block_diagonal_probe(p, width, seed, _COL_PROBE_DOMAIN)
     row_probe = block_diagonal_probe(p, width, seed, _ROW_PROBE_DOMAIN)
     try:
@@ -245,8 +243,8 @@ def recursive_factor_v(v_h: BlockDiagonalFactor, p: DyadicPartition, r: int):
     return recursive_factor_u(v_h, p, r)
 
 
-def factorize(oracle, p: DyadicPartition, r: int, params=DEFAULT_PARAMS,
-              seed=0, mode="sampling") -> ButterflyFactors:
+def factorize(oracle, p: DyadicPartition, r: int, seed=0,
+              mode="sampling") -> ButterflyFactors:
     """Build the full sparse chain for the operator behind ``oracle``.
 
     mode="sampling"   entry oracle, whole middle level in memory;
@@ -254,8 +252,6 @@ def factorize(oracle, p: DyadicPartition, r: int, params=DEFAULT_PARAMS,
     mode="streaming"  entry oracle, one middle block row/column at a time
                       (O(n log n) peak memory, bit-identical factors).
     """
-    if params is None:
-        params = DEFAULT_PARAMS
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
     if mode in ("sampling", "streaming") and not is_entry_oracle(oracle):
@@ -264,11 +260,11 @@ def factorize(oracle, p: DyadicPartition, r: int, params=DEFAULT_PARAMS,
         raise ValueError("mode='matvec' needs an operator oracle")
 
     if mode == "sampling":
-        u_h, middle, v_h = middle_factorization_sampling(oracle, p, r, params, seed)
+        u_h, middle, v_h = middle_factorization_sampling(oracle, p, r, seed)
     elif mode == "matvec":
-        u_h, middle, v_h = middle_factorization_matvec(oracle, p, r, params, seed)
+        u_h, middle, v_h = middle_factorization_matvec(oracle, p, r, seed)
     elif mode == "streaming":
-        return _factorize_streaming(oracle, p, r, params, seed)
+        return _factorize_streaming(oracle, p, r, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -277,7 +273,7 @@ def factorize(oracle, p: DyadicPartition, r: int, params=DEFAULT_PARAMS,
     return ButterflyFactors(p, r, u_outer, g_chain, middle, h_chain, v_outer)
 
 
-def _factorize_streaming(entry, p, r, params, seed) -> ButterflyFactors:
+def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
     m, side = _middle_shapes(p, r)
     weights = np.zeros((m, m, r))
     sides = []
@@ -289,7 +285,7 @@ def _factorize_streaming(entry, p, r, params, seed) -> ButterflyFactors:
         for k in range(m):
             # the u side takes block row k, the v side block column k
             slab = np.zeros((1, side, m, r), dtype=np.complex128)
-            _place_line(_entry_line(entry, p, r, params, seed, k, column),
+            _place_line(_entry_line(entry, p, r, seed, k, column),
                         slab[0], w_row=None if column else weights[k])
             leaf_k, pieces = _recurse(slab, p, r)
             for lvl, blocks in pieces:

@@ -73,19 +73,6 @@ class HankelKernel:
         return out
 
 
-class DftKernel:
-    """Entry oracle of the centered transform F[j, k] = exp(-2*pi*i*xi_j*x_k)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.shape = (n, n)
-
-    def block(self, rows, cols) -> np.ndarray:
-        xi = np.asarray(rows, dtype=float)[:, None] - self.n / 2.0
-        x = np.asarray(cols, dtype=float)[None, :] / self.n
-        return np.exp(-2j * np.pi * xi * x)
-
-
 def dft_apply(n: int, g: np.ndarray, direction: str = "forward") -> np.ndarray:
     """Apply the centered transform (or its inverse, conjugate-transpose/n)."""
     g = np.asarray(g, dtype=np.complex128)

@@ -3,10 +3,11 @@
 Three routes to a rank-r approximate SVD ``Z ~ u0 @ diag(sigma0) @ v0*``:
 
 * :func:`truncated_svd` -- dense, optimal; builds every middle block whose
-  sampling sweeps would cover it whole (:func:`at_dense_limit`);
-* :func:`randomized_svd` -- probes a black-box operator with Gaussian blocks;
-* :func:`randomized_sampling_svd` -- visits O(r) rows and columns through an
-  entry oracle, alternating pivoted QR/LQ skeleton selection.
+  samples would cover it whole (:func:`at_dense_limit`);
+* :func:`randomized_svd` -- probes a black-box operator with r +
+  ``PROBE_OVERSAMPLING`` Gaussian vectors per side;
+* :func:`randomized_sampling_svd` -- visits ``SAMPLES_PER_RANK`` * r rows and
+  columns through an entry oracle in one pivoted QR/LQ skeleton sweep.
 
 :func:`svd_from_probes` finishes the probe route from stored products, for
 blocks of an operator that cannot be applied to fresh vectors.
@@ -40,26 +41,14 @@ PIVOT_TIE = 1e-14
 #: and poison sampled least-squares problems.
 BASIS_TRIM = 1e-11
 
+#: Gaussian probe vectors beyond the rank in :func:`randomized_svd` and the
+#: operator construction: the standard additive oversampling (Halko,
+#: Martinsson and Tropp, SIAM Rev. 53, 2011, sec. 4.2).
+PROBE_OVERSAMPLING = 5
 
-@dataclass(frozen=True)
-class OversamplingParams:
-    """Knobs for the randomized engines.
-
-    p   extra Gaussian probe columns (additive oversampling),
-    q   row/column sample multiplier for the sampling engine,
-    iters  skeleton refinement sweeps in the sampling engine.
-    """
-
-    p: int = 5
-    q: int = 3
-    iters: int = 3
-
-    def __post_init__(self):
-        if self.p < 0 or self.q < 1 or self.iters < 1:
-            raise ValueError(f"invalid oversampling parameters {self}")
-
-
-DEFAULT_PARAMS = OversamplingParams()
+#: Random rows (and columns) :func:`randomized_sampling_svd` draws per unit
+#: of rank, for the skeleton sweep and again for the final least squares.
+SAMPLES_PER_RANK = 3
 
 
 @dataclass(frozen=True)
@@ -184,28 +173,29 @@ def truncated_svd(z: np.ndarray, r: int) -> LowRankApprox:
     )
 
 
-def at_dense_limit(m: int, n: int, r: int, params=DEFAULT_PARAMS) -> bool:
-    """True when the sampling engine's sweeps would visit a whole m x n
-    block, so its exact limit, a dense truncated SVD, applies instead."""
-    return r * params.q >= max(m, n)
+def at_dense_limit(m: int, n: int, r: int) -> bool:
+    """True when the sampling engine would draw every row or column of an
+    m x n block, so its exact limit, a dense truncated SVD, applies instead."""
+    return r * SAMPLES_PER_RANK >= max(m, n)
 
 
-def randomized_svd(apply_op, m, n, r, params=DEFAULT_PARAMS, rng=None) -> LowRankApprox:
+def randomized_svd(apply_op, m, n, r, rng=None) -> LowRankApprox:
     """Probe-based rank-r SVD of a black-box operator.
 
     ``apply_op(x, adjoint)`` must return ``Z @ x`` (or ``Z* @ x`` when
-    ``adjoint`` is true) for blocks of r + p vectors.  Draw order: column
-    probes, then row probes.
+    ``adjoint`` is true) for blocks of r + ``PROBE_OVERSAMPLING`` vectors.
+    Draw order: column probes, then row probes.
     """
     rng = np.random.default_rng(rng)
-    width = r + params.p
+    width = r + PROBE_OVERSAMPLING
     if width > min(m, n):
-        raise ValueError(f"r + p = {width} exceeds min(m, n) = {min(m, n)}")
+        raise ValueError(f"r + {PROBE_OVERSAMPLING} = {width} exceeds "
+                         f"min(m, n) = {min(m, n)}")
     r_col = complex_normal(rng, (n, width))
     r_row = complex_normal(rng, (m, width))
     y_col = apply_op(r_col, False)
     y_row = apply_op(r_row, True)
-    # keep the whole oversampled range; truncate to r only after the small
+    # keep the whole probed range; truncate to r only after the small
     # SVD.  Every probe column is kept, so plain QR spans what pivoting would.
     q_col, _ = np.linalg.qr(y_col)
     q_row, _ = np.linalg.qr(y_row)
@@ -231,38 +221,33 @@ def svd_from_probes(y_col, y_row, r_row, r) -> LowRankApprox:
     return _assemble(mid, q_col, q_row, r)
 
 
-def randomized_sampling_svd(entry, m, n, r, params=DEFAULT_PARAMS, rng=None) -> LowRankApprox:
+def randomized_sampling_svd(entry, m, n, r, rng=None) -> LowRankApprox:
     """Rank-r SVD from sampled rows and columns of an entry oracle.
 
     ``entry(rows, cols)`` returns the dense submatrix on the given index
-    arrays.  Alternates pivoted QR on sampled rows with pivoted LQ on sampled
-    columns to grow the skeleton sets, then solves a small least-squares
-    problem for the middle matrix.  Rows and columns are assumed incoherent
-    with respect to delta functions; that property is not checked here.
+    arrays.  One skeleton sweep: pivoted QR on random rows picks r skeleton
+    columns, pivoted LQ on random columns joined with them picks r skeleton
+    rows.  Fresh random rows and columns joined with the skeletons then pose
+    a small least-squares problem for the middle matrix.  Draw order: rows,
+    columns, final rows, final columns.  Rows and columns are assumed
+    incoherent with respect to delta functions; that is not checked here.
     """
     rng = np.random.default_rng(rng)
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside [1, {min(m, n)}]")
-    if at_dense_limit(m, n, r, params):
-        return truncated_svd(entry(np.arange(m), np.arange(n)), r)
-    rq = r * params.q
-    pi_col: np.ndarray = np.empty(0, dtype=np.intp)
-    pi_row: np.ndarray = np.empty(0, dtype=np.intp)
-    for _ in range(params.iters):
-        rows = _union(rng.choice(m, size=min(rq, m), replace=False), pi_row)
-        picked = select_pivot_columns(entry(rows, np.arange(n)), r)
-        pi_col = np.asarray(sorted(picked), dtype=np.intp)
-        cols = _union(rng.choice(n, size=min(rq, n), replace=False), pi_col)
-        picked = select_pivot_columns(entry(np.arange(m), cols).conj().T, r)
-        pi_row = np.asarray(sorted(picked), dtype=np.intp)
+    rq = r * SAMPLES_PER_RANK
+    rows = _draw(rng, m, rq)
+    pi_col = select_pivot_columns(entry(rows, np.arange(n)), r)
+    cols = _draw(rng, n, rq, pi_col)
+    pi_row = select_pivot_columns(entry(np.arange(m), cols).conj().T, r)
 
     # Least-squares sets: skeletons plus fresh random rows/columns.  The
     # bases span the best sampled columns/rows (not just the r skeletons);
     # the final truncation then recovers near-optimal singular values.  A
     # rank-r margin keeps the middle least-squares problem overdetermined,
     # otherwise ill-conditioned basis/sample sections amplify the tail.
-    rows = _union(rng.choice(m, size=min(rq, m), replace=False), pi_row)
-    cols = _union(rng.choice(n, size=min(rq, n), replace=False), pi_col)
+    rows = _draw(rng, m, rq, pi_row)
+    cols = _draw(rng, n, rq, pi_col)
     width = max(r, min(rows.size, cols.size) - r)
     q_col = orthonormal_columns(entry(np.arange(m), cols), min(width, m),
                                 rel_tol=BASIS_TRIM)
@@ -272,8 +257,10 @@ def randomized_sampling_svd(entry, m, n, r, params=DEFAULT_PARAMS, rng=None) -> 
     return _assemble(mid, q_col, q_row, r)
 
 
-def _union(sampled: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    return np.union1d(np.asarray(sampled, dtype=np.intp), kept)
+def _draw(rng, n: int, count: int, kept=()) -> np.ndarray:
+    """Sorted union of ``count`` distinct random indices below n and ``kept``."""
+    return np.union1d(rng.choice(n, size=min(count, n), replace=False),
+                      np.asarray(kept, dtype=np.intp))
 
 
 def _assemble(mid, q_col, q_row, r) -> LowRankApprox:

@@ -19,23 +19,6 @@ class OracleError(RuntimeError):
     """Raised when an oracle fails; carries the block that was being built."""
 
 
-class EntryFunctionOracle:
-    """Wraps a scalar ``f(i, j) -> complex`` into the block contract."""
-
-    def __init__(self, f, n: int):
-        self._f = f
-        self.shape = (n, n)
-
-    def block(self, rows, cols) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        out = np.empty((rows.size, cols.size), dtype=np.complex128)
-        for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                out[a, b] = self._f(int(i), int(j))
-        return out
-
-
 class DenseOracle:
     """Entry and operator oracle backed by an explicit matrix."""
 

@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 
 from butterfly import (ComposedOperator, DenseOracle, FioKernel,
-                       HankelKernel, OperatorReference, OversamplingParams,
-                       RowSampledReference, estimate_eps_a, factorize,
-                       factors_equal, load_factors, make_partition,
-                       randomized_sampling_svd, randomized_svd, save_factors,
-                       truncated_svd)
+                       HankelKernel, OperatorReference, RowSampledReference,
+                       estimate_eps_a, factorize, factors_equal, load_factors,
+                       make_partition, randomized_sampling_svd,
+                       randomized_svd, save_factors, truncated_svd)
 from butterfly.bench import derive_seed
 from butterfly.bessel import bessel_jy_sweep
 from butterfly.construct import block_rng
@@ -97,17 +96,22 @@ def test_criterion_3_composition_accuracy():
 def test_criterion_4_construction_scaling():
     r = 4
     factorize(FioKernel(256), make_partition(256, 1), r, seed=0)  # warm up
+
+    def timed(n):
+        ker, p = FioKernel(n), make_partition(n, 1)
+        gc.collect()
+        start = time.perf_counter()
+        factorize(ker, p, r, seed=0, mode="sampling")
+        return time.perf_counter() - start
+
+    # A shared host runs slow or fast for phases of seconds.  The short
+    # n=1024 run is timed between every larger run (best of five) and
+    # n=4096 on both sides of the single n=16384 run (best of three): a
+    # phase then reaches both sizes of each ratio, and the minimum drops
+    # the slow runs.
     times = {}
-    for n, repeats in ((1024, 2), (4096, 2), (16384, 1)):
-        ker = FioKernel(n)
-        p = make_partition(n, 1)
-        best = np.inf
-        for _ in range(repeats):  # best-of-two damps allocator/cache noise
-            gc.collect()
-            start = time.perf_counter()
-            factorize(ker, p, r, seed=0, mode="sampling")
-            best = min(best, time.perf_counter() - start)
-        times[n] = best
+    for n in (1024, 4096, 1024, 4096, 1024, 16384, 1024, 4096, 1024):
+        times[n] = min(times.get(n, np.inf), timed(n))
     r1 = times[4096] / times[1024]
     r2 = times[16384] / times[4096]
     print(f"criterion 4 (construction scaling): t={times} "
@@ -133,9 +137,11 @@ def test_sampling_cost_scales_as_n15_r():
     # The machine-independent twin of criterion 4: entries the sampling
     # construction evaluates, against the O(n^1.5 r) cost of the paper.
     # Leaf 1, r=4 keeps every middle block below the dense limit, so each
-    # goes through the randomized sampling engine.  At the time of writing
-    # the constants are 28.4 (n=256) and 30.0 (n=1024); a sampler that grew
-    # as n^2 would double the constant from one size to the next.
+    # goes through the randomized sampling engine.  With one skeleton sweep
+    # the constants are 15.4 (n=256) and 15.5 (n=1024); entry counts are
+    # deterministic, so a second sweep (30.0 at n=1024) fails the per-size
+    # bound, and a sampler that grew as n^2 would double the constant from
+    # one size to the next.
     r = 4
     constants = {}
     for n in (256, 1024):
@@ -145,7 +151,7 @@ def test_sampling_cost_scales_as_n15_r():
     growth = constants[1024] / constants[256]
     print(f"sampling cost: entries / (n^1.5 r) = {constants}, "
           f"growth {growth:.3f} in [0.8, 1.25]")
-    assert all(c <= 36.0 for c in constants.values())
+    assert all(c <= 20.0 for c in constants.values())
     assert 0.8 <= growth <= 1.25
 
 
@@ -250,7 +256,7 @@ def test_criterion_8_engine_and_special_function_checks():
     for seed in range(10):
         apply_op = lambda x, adj: (z.conj().T @ x) if adj else z @ x
         a = randomized_svd(apply_op, 16, 16, r,
-                           OversamplingParams(), np.random.default_rng(seed))
+                           rng=np.random.default_rng(seed))
         b = randomized_sampling_svd(DenseOracle(z).block, 16, 16, r,
                                     rng=np.random.default_rng(seed))
         worst = max(worst,

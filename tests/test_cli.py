@@ -12,8 +12,12 @@ def run(*argv):
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    assert run("factor", "--bogus", "1") == 1
-    assert "usage" in capsys.readouterr().err
+    # the sampling constants are fixed, so no flag sets them
+    for flag in ("--bogus", "--iters", "--oversample-p", "--oversample-q"):
+        assert run("factor", "--kernel", "fio", "--n", "64", "--rank", "2",
+                   "--out", "x.bfac", flag, "3") == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and f"unrecognized arguments: {flag}" in err
 
 
 def test_unknown_kernel_is_usage_error():

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from butterfly import (DenseOracle, FioKernel, HankelKernel, OracleError,
-                       block_diagonal_probe, dense_matrix, factorize,
-                       factors_equal, make_partition,
+                       dense_matrix, factorize, factors_equal, make_partition,
                        middle_factorization_matvec,
                        middle_factorization_sampling, recursive_factor_u,
                        recursive_factor_v, truncated_svd)
+from butterfly.construct import block_diagonal_probe
 from butterfly.factors import BlockDiagonalFactor
-from butterfly.lowrank import OversamplingParams, floored_inverse
+from butterfly.lowrank import at_dense_limit, floored_inverse
 
 from conftest import complex_gaussian, random_exact_chain
 
@@ -72,13 +72,13 @@ def test_middle_identity_blockwise():
 def test_middle_matvec_identity_operator(rng):
     # The identity only satisfies the block low-rank condition at full
     # middle-block rank: its diagonal middle blocks are identity matrices of
-    # side n/m, so the reconstruction claim holds for r = n/m (and p=0).
+    # side n/m, so the reconstruction claim holds for r = n/m (the probes
+    # are then whole blocks, side columns wide).
     n = 64
     p = make_partition(n, 1)
     r = p.mid_side
     op = DenseOracle(np.eye(n, dtype=complex))
-    u_h, middle, v_h = middle_factorization_matvec(
-        op, p, r, OversamplingParams(p=0), seed=3)
+    u_h, middle, v_h = middle_factorization_matvec(op, p, r, seed=3)
     approx = middle_triple_dense(u_h, middle, v_h)
     for _ in range(16):
         g = complex_gaussian(rng, n)
@@ -195,8 +195,8 @@ def test_factorize_dense_error_small_fio():
 
 
 # (kernel, n, target_leaf, r): the first two have middle blocks at the dense
-# limit (r*q >= side), the last two go through the randomized sampling
-# engine (side 16, r*q = 12).
+# limit (3r >= side), the last two go through the randomized sampling
+# engine (side 16, 3r = 12).
 STREAMING_CASES = [(FioKernel, 128, 0.25, 4), (HankelKernel, 64, 0.25, 3),
                    (FioKernel, 256, 1, 4), (HankelKernel, 256, 1, 4)]
 
@@ -216,7 +216,7 @@ def test_batched_dense_middle_matches_per_block_reference(kernel, n, r):
     # equal the per-block truncated SVD and floored inverse bit for bit
     p = make_partition(n, 0.25)
     m, side = p.mid_nodes, p.mid_side
-    assert r * OversamplingParams().q >= side
+    assert at_dense_limit(side, side, r)
     ker = kernel(n)
     u = np.zeros((m, side, m, r), dtype=complex)
     v = np.zeros((m, side, m, r), dtype=complex)

@@ -2,13 +2,26 @@ import numpy as np
 import pytest
 import scipy.special
 
-from butterfly import (ComposedOperator, DenseOracle, DftKernel,
-                       EntryFunctionOracle, FioKernel, HankelKernel,
-                       dense_matrix, dft_apply, factorize, factors_equal,
-                       make_partition)
+from butterfly import (ComposedOperator, DenseOracle, FioKernel,
+                       HankelKernel, dense_matrix, dft_apply, factorize,
+                       factors_equal, make_partition)
 from butterfly.bessel import hankel1_orders
 
 from conftest import complex_gaussian
+
+
+class DftKernel:
+    """Entry oracle of the centered transform F[j, k] = exp(-2*pi*i*xi_j*x_k),
+    the reference that ``dft_apply`` is checked against."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.shape = (n, n)
+
+    def block(self, rows, cols) -> np.ndarray:
+        xi = np.asarray(rows, dtype=float)[:, None] - self.n / 2.0
+        x = np.asarray(cols, dtype=float)[None, :] / self.n
+        return np.exp(-2j * np.pi * xi * x)
 
 
 def test_fio_entry_hand_values():
@@ -62,8 +75,7 @@ def test_hankel_cached_and_uncached_factors_are_bit_equal():
 
 
 def test_dense_matrix_identity_oracle():
-    oracle = EntryFunctionOracle(lambda i, j: float(i == j), 6)
-    assert np.array_equal(dense_matrix(oracle, 6), np.eye(6))
+    assert np.array_equal(dense_matrix(DenseOracle(np.eye(6)), 6), np.eye(6))
 
 
 def test_dense_matrix_unimodular_fio():
@@ -130,12 +142,6 @@ def test_composed_adjoint_identity(composed_256, rng):
     lhs = np.vdot(y, composed_256.apply(x))
     rhs = np.vdot(composed_256.apply_adjoint(y), x)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
-
-
-def test_entry_function_oracle_scalar_path():
-    oracle = EntryFunctionOracle(lambda i, j: i + 1j * j, 4)
-    block = oracle.block([1, 3], [0, 2])
-    assert np.array_equal(block, np.array([[1, 1 + 2j], [3, 3 + 2j]]))
 
 
 def test_dense_oracle_roundtrip(rng):

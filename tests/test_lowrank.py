@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from butterfly import (FioKernel, LowRankApprox, OversamplingParams,
-                       make_partition, randomized_sampling_svd,
-                       randomized_svd, truncated_svd)
+from butterfly import (FioKernel, LowRankApprox, make_partition,
+                       randomized_sampling_svd, randomized_svd, truncated_svd)
 from butterfly.lowrank import floored_inverse, svd_from_probes
 from butterfly.oracles import BlockView, DenseOracle
 
@@ -75,7 +74,7 @@ def test_randomized_svd_exact_rank(rng):
 def test_randomized_svd_width_precondition():
     with pytest.raises(ValueError):
         randomized_svd(dense_apply(np.zeros((8, 8))), 8, 8, 4,
-                       OversamplingParams(p=5), np.random.default_rng(0))
+                       rng=np.random.default_rng(0))
 
 
 def _fio_middle_block(n, leaf, i, j):
@@ -107,8 +106,7 @@ def test_sampling_svd_outer_product(rng):
     v = complex_gaussian(rng, 64)
     z = np.outer(u, v.conj())
     a = randomized_sampling_svd(DenseOracle(z).block, 64, 64, 1,
-                                OversamplingParams(q=3),
-                                np.random.default_rng(1))
+                                rng=np.random.default_rng(1))
     assert np.linalg.norm(z - a.matrix()) / np.linalg.norm(z) <= 1e-10
 
 
@@ -117,8 +115,7 @@ def test_sampling_svd_fio_block_close_to_optimal():
     assert z.shape == (128, 128)
     opt = np.linalg.norm(z - truncated_svd(z, 8).matrix())
     a = randomized_sampling_svd(DenseOracle(z).block, 128, 128, 8,
-                                OversamplingParams(q=3, iters=3),
-                                np.random.default_rng(5))
+                                rng=np.random.default_rng(5))
     assert np.linalg.norm(z - a.matrix()) <= 10 * opt
 
 
@@ -184,8 +181,7 @@ def test_engines_within_ten_x_on_prescribed_family(rng):
     opt = 1e-4  # sigma_{r+1} by construction
     for seed in SEED_SUITE:
         a = randomized_svd(dense_apply(z), 16, 16, r,
-                           OversamplingParams(p=5),
-                           np.random.default_rng(seed))
+                           rng=np.random.default_rng(seed))
         assert np.linalg.norm(z - a.matrix(), 2) <= 10 * opt
         b = randomized_sampling_svd(DenseOracle(z).block, 16, 16, r,
                                     rng=np.random.default_rng(seed))
@@ -204,12 +200,3 @@ def test_randomized_engines_bit_deterministic(rng):
         assert np.array_equal(a.u0, b.u0)
         assert np.array_equal(a.sigma0, b.sigma0)
         assert np.array_equal(a.v0, b.v0)
-
-
-def test_oversampling_params_validate():
-    with pytest.raises(ValueError):
-        OversamplingParams(p=-1)
-    with pytest.raises(ValueError):
-        OversamplingParams(q=0)
-    with pytest.raises(ValueError):
-        OversamplingParams(iters=0)
