@@ -3,7 +3,9 @@ import pytest
 
 from butterfly import (FioKernel, LowRankApprox, make_partition,
                        randomized_sampling_svd, randomized_svd, truncated_svd)
-from butterfly.lowrank import floored_inverse, svd_from_probes
+from butterfly.lowrank import (PROBE_OVERSAMPLING, SAMPLES_PER_RANK,
+                               at_dense_limit, floored_inverse,
+                               svd_from_probes)
 from butterfly.oracles import BlockView, DenseOracle
 
 from conftest import complex_gaussian, prescribed_svd_matrix
@@ -77,6 +79,27 @@ def test_randomized_svd_width_precondition():
                        rng=np.random.default_rng(0))
 
 
+def test_randomized_svd_width_boundary(rng):
+    # r + PROBE_OVERSAMPLING probes fit exactly into the smaller side
+    z = prescribed_svd_matrix(rng, 12, 9, [1.0, 0.5])
+    r = 9 - PROBE_OVERSAMPLING
+    a = randomized_svd(dense_apply(z), 12, 9, r, rng=np.random.default_rng(0))
+    assert np.linalg.norm(z - a.matrix(), 2) <= 1e-10
+    with pytest.raises(ValueError, match="exceeds"):
+        randomized_svd(dense_apply(z), 12, 9, r + 1,
+                       rng=np.random.default_rng(0))
+
+
+def test_at_dense_limit_threshold():
+    # dense exactly when SAMPLES_PER_RANK * r samples cover the longer side
+    r = 4
+    side = SAMPLES_PER_RANK * r
+    assert at_dense_limit(side, side, r)
+    assert at_dense_limit(side - 1, side, r)
+    assert not at_dense_limit(side + 1, side, r)
+    assert not at_dense_limit(side, side + 1, r)
+
+
 def _fio_middle_block(n, leaf, i, j):
     p = make_partition(n, leaf)
     ker = FioKernel(n)
@@ -125,6 +148,30 @@ def test_sampling_svd_exact_rank_all_seeds(rng):
         a = randomized_sampling_svd(DenseOracle(z).block, 48, 40, 3,
                                     rng=np.random.default_rng(seed))
         assert np.linalg.norm(z - a.matrix(), 2) <= 1e-10
+
+
+def test_sampling_svd_one_skeleton_sweep(rng):
+    # one sweep (rows, columns), then the least-squares visits: bases from
+    # sampled columns and rows, and their crossing.  Each sampled set holds
+    # SAMPLES_PER_RANK * r random indices plus at most r skeletons.
+    z = prescribed_svd_matrix(rng, 64, 48, [1.0, 0.3, 0.04, 0.01])
+    r = 4
+    rq = SAMPLES_PER_RANK * r
+    visits = []
+
+    def entry(rows, cols):
+        visits.append((len(rows), len(cols)))
+        return z[np.ix_(rows, cols)]
+
+    a = randomized_sampling_svd(entry, 64, 48, r,
+                                rng=np.random.default_rng(2))
+    assert np.linalg.norm(z - a.matrix(), 2) <= 1e-10
+    assert len(visits) == 5
+    assert visits[0] == (rq, 48)
+    assert visits[1][0] == 64 and rq <= visits[1][1] <= rq + r
+    assert visits[2][0] == 64 and visits[3][1] == 48
+    assert rq <= visits[3][0] <= rq + r
+    assert visits[4] == (visits[3][0], visits[2][1])
 
 
 def test_floored_inverse_direct_values():
