@@ -5,8 +5,9 @@ orders of H1 = J + iY come from the three-term recurrence run upward.
 Below the turning point (x > m) J and Y are both oscillatory and the
 recurrence is stable for H1 (Gautschi, SIAM Rev. 9, 1967), which is the
 regime of the Hankel-sum operator (x >= n, orders < n); order sweeps
-therefore refuse any x <= max_order.  Everything is vectorized over a
-batch of arguments, and each value depends on its argument and order alone.
+therefore refuse any x at or below their largest order.  Everything is
+vectorized over a batch of arguments, and each value depends on its
+argument and order alone.
 """
 
 from __future__ import annotations
@@ -179,30 +180,39 @@ def bessel_y1(x):
 def bessel_jy_sweep(x, max_order: int):
     """All orders 0..max_order of J and Y at each point of ``x``: the real
     and imaginary parts of :func:`hankel1_orders`."""
-    h = hankel1_orders(x, max_order)
+    h = hankel1_orders(x, np.arange(max_order + 1))
     return h.real, h.imag
 
 
-def hankel1_orders(x, max_order: int) -> np.ndarray:
-    """H1_m(x) for m = 0..max_order, shape (len(x), max_order + 1).
+def hankel1_orders(x, orders) -> np.ndarray:
+    """H1_m(x) for each m in ``orders`` (any order, repeats allowed), shape
+    (len(x), len(orders)).
 
-    Runs h[m+1] = (2m/x) h[m] - h[m-1] upward from the order-0/1 seeds,
-    which is stable only below the turning point: every x must exceed
-    ``max_order``.  Each value depends on its (x, m) alone.
+    Runs h[m+1] = (2m/x) h[m] - h[m-1] upward from the order-0/1 seeds to
+    the largest requested order, holding two orders besides the requested
+    ones, so a call takes the memory of its output.  The recurrence is
+    stable only below the turning point: every x must exceed every order.
+    Each value depends on its (x, m) alone.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if (x <= max(max_order, 0)).any():
-        raise ValueError(f"upward recurrence to order {max_order} requires "
-                         f"x > {max(max_order, 0)}")
-    # one row per order, so each step works on contiguous rows; the real
-    # coefficients are held complex so a step is two plain ufunc calls
-    h = np.empty((max_order + 1, x.shape[0]), dtype=np.complex128)
-    h[0] = bessel_j0(x) + 1j * bessel_y0(x)
-    if max_order >= 1:
-        h[1] = bessel_j1(x) + 1j * bessel_y1(x)
-    coef = (2.0 * np.arange(max_order + 1))[:, None] / x
-    coef = coef.astype(np.complex128)
-    for m in range(1, max_order):
-        np.multiply(coef[m], h[m], out=h[m + 1])
-        np.subtract(h[m + 1], h[m - 1], out=h[m + 1])
-    return np.ascontiguousarray(h.T)
+    orders = np.atleast_1d(np.asarray(orders, dtype=np.intp))
+    top = int(orders.max(initial=0))
+    if orders.min(initial=0) < 0 or (x <= top).any():
+        raise ValueError(f"upward recurrence to order {top} requires "
+                         f"orders >= 0 and x > {top}")
+    out = np.empty((x.shape[0], orders.shape[0]), dtype=np.complex128)
+    slots = [[] for _ in range(top + 1)]  # output columns of each order
+    for k, m in enumerate(orders.tolist()):
+        slots[m].append(k)
+    h = bessel_j0(x) + 1j * bessel_y0(x)  # h holds order m, after m + 1
+    after = bessel_j1(x) + 1j * bessel_y1(x)
+    # the real coefficient is held complex so a step is two plain ufunc calls
+    coef, step = np.zeros_like(h), np.empty_like(h)
+    for m in range(top + 1):
+        for k in slots[m]:
+            out[:, k] = h
+        np.divide(2.0 * (m + 1), x, out=coef.real)
+        np.multiply(coef, after, out=step)
+        np.subtract(step, h, out=step)
+        h, after, step = after, step, h
+    return out

@@ -7,8 +7,8 @@ It works by block line: the m blocks of one block row (or, for the right
 side of the streaming mode, one block column) are produced as one stack of
 rank-r triples, and one assembler places every line whatever the mode.
 
-* entry oracle, blocks at the dense limit -- one ``block`` call per line and
-  one stacked truncated SVD;
+* entry oracle, blocks at the dense limit or marked ``whole_rows`` -- one
+  ``block`` call per line and one stacked truncated SVD;
 * entry oracle below it -- the randomized sampling engine block by block,
   its results stacked;
 * operator oracle -- one application of K and one of K* for the whole
@@ -87,7 +87,7 @@ def _entry_line(entry, p, r, seed, k, column=False) -> LowRankApprox:
     def block_id(other):
         return (other, k) if column else (k, other)
 
-    if at_dense_limit(side, side, r):
+    if getattr(entry, "whole_rows", False) or at_dense_limit(side, side, r):
         node, every = np.asarray(p.node_range(p.half, k)), np.arange(p.n)
         try:
             values = (entry.block(every, node) if column

@@ -17,7 +17,6 @@ from .bessel import hankel1_orders
 from .factors import ButterflyFactors
 
 DENSE_CAP = 4096
-_HANKEL_CACHE_CAP = 4096
 
 
 def _phase_speed(x):
@@ -41,36 +40,21 @@ class FioKernel:
 class HankelKernel:
     """K[i, j] = H1_j(x_i) with x_i = n + (2*pi/3)*i, bounded away from zero.
 
-    A row's orders come from one upward recurrence over all of them, so
-    full rows are cached (dimension permitting): every later lookup on the
-    same row is free.  Each value depends on its (x_i, j) alone, so cached
-    and uncached blocks are bit-identical.
+    Pure: a block runs the order recurrence of its rows from order 0 up to
+    its largest column, so it costs as much as those rows up to that column
+    whatever columns it keeps.  ``whole_rows`` therefore sends it to whole
+    block lines, and a factorization evaluates O(n^2) entries.
     """
 
-    def __init__(self, n: int, cache: bool | None = None):
+    whole_rows = True
+
+    def __init__(self, n: int):
         self.n = n
         self.shape = (n, n)
-        self._cache_rows = n <= _HANKEL_CACHE_CAP if cache is None else cache
-        self._rows: dict[int, np.ndarray] = {}
 
     def block(self, rows, cols) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        if not self._cache_rows:
-            x = self.n + (2.0 * np.pi / 3.0) * rows.astype(float)
-            table = hankel1_orders(x, int(cols.max(initial=0)))
-            return np.ascontiguousarray(table[:, cols])
-        missing = sorted(set(int(i) for i in rows) - self._rows.keys())
-        for lo in range(0, len(missing), 256):
-            batch = missing[lo:lo + 256]
-            x = self.n + (2.0 * np.pi / 3.0) * np.asarray(batch, dtype=float)
-            table = hankel1_orders(x, self.n - 1)
-            for b, i in enumerate(batch):
-                self._rows[i] = table[b]
-        out = np.empty((rows.size, cols.size), dtype=np.complex128)
-        for a, i in enumerate(rows):
-            out[a] = self._rows[int(i)][cols]
-        return out
+        x = self.n + (2.0 * np.pi / 3.0) * np.asarray(rows, dtype=float)
+        return hankel1_orders(x, cols)
 
 
 def dft_apply(n: int, g: np.ndarray, direction: str = "forward") -> np.ndarray:

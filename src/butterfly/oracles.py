@@ -8,6 +8,11 @@ Two contracts, mirroring how the construction algorithms touch the matrix:
   (n, k) blocks of vectors.
 
 Both must be pure and safe to call concurrently.
+
+An entry oracle may set ``whole_rows = True`` when a block costs as much as
+its rows up to its largest column: middle block lines are then read whole.
+Wrappers must forward it (perfbench's ``EntryProbe`` does not, harmless
+while its Hankel workload sits at the dense limit).
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
 
+from butterfly import HankelKernel
 from butterfly.bessel import (bessel_j0, bessel_j1, bessel_jy_sweep,
                               bessel_y0, bessel_y1, hankel1_orders)
 
@@ -10,12 +13,12 @@ H1_0_AT_4 = -0.397149809863847372286590768452 - 0.016940739325064991903635134447
 
 
 def test_hankel_small_argument_frozen_value():
-    got = hankel1_orders(np.array([4.0]), 0)[0, 0]
+    got = hankel1_orders(np.array([4.0]), [0])[0, 0]
     assert abs(got - H1_0_AT_4) <= 1e-10
 
 
 def test_hankel_leading_asymptotics():
-    got = abs(hankel1_orders(np.array([1e4]), 0)[0, 0])
+    got = abs(hankel1_orders(np.array([1e4]), [0])[0, 0])
     want = np.sqrt(2.0 / (np.pi * 1e4))
     assert abs(got - want) / want <= 1e-4
 
@@ -48,8 +51,8 @@ def test_seeds_against_independent_oracle(mine, ref):
 def test_order_sweep_against_independent_oracle():
     n = 256
     x = n + (2 * np.pi / 3) * np.arange(0, n, 37, dtype=float)
-    got = hankel1_orders(x, n - 1)
     orders = np.arange(n)
+    got = hankel1_orders(x, orders)
     want = (scipy.special.jv(orders[None, :], x[:, None])
             + 1j * scipy.special.yv(orders[None, :], x[:, None]))
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
@@ -60,29 +63,53 @@ def test_sweep_rejects_nonpositive():
         bessel_jy_sweep(np.array([0.0]), 3)
 
 
-@pytest.mark.parametrize("x, max_order", [([100.0, 50.0], 50),
-                                          ([100.0, 49.5], 50), ([1.0], 1),
-                                          ([-3.0], 0)])
-def test_orders_reject_points_at_or_below_max_order(x, max_order):
-    # the upward recurrence is only stable below the turning point
+@pytest.mark.parametrize("x, orders", [([100.0, 50.0], [0, 50]),
+                                       ([100.0, 49.5], [50, 3]), ([1.0], [1]),
+                                       ([-3.0], [0]), ([100.0], [2, -1])])
+def test_orders_reject_points_at_or_below_an_order(x, orders):
+    # the upward recurrence is only stable below the turning point and
+    # starts at order 0
     with pytest.raises(ValueError):
-        hankel1_orders(np.array(x), max_order)
+        hankel1_orders(np.array(x), orders)
 
 
 def test_orders_are_bit_equal_across_batches():
     n = 512
     rng = np.random.default_rng(11)
     x = n + (2 * np.pi / 3) * rng.permutation(n)[:48].astype(float)
-    full = hankel1_orders(x, n - 1)
-    assert np.array_equal(hankel1_orders(x[:16], n - 1), full[:16])
-    assert np.array_equal(hankel1_orders(x[40:], n - 1), full[40:])
+    every = np.arange(n)
+    full = hankel1_orders(x, every)
+    assert np.array_equal(hankel1_orders(x[:16], every), full[:16])
+    assert np.array_equal(hankel1_orders(x[40:], every), full[40:])
     for k in (0, 1, 37, n - 2):
-        assert np.array_equal(hankel1_orders(x, k), full[:, :k + 1])
+        assert np.array_equal(hankel1_orders(x, every[:k + 1]),
+                              full[:, :k + 1])
+    # any subset of orders, unsorted and with repeats, picks the same columns
+    for orders in ([n - 1], [5, 300, 301], [300, 5, 17, 0],
+                   [7, 7, 2, 7, 0, 2], rng.integers(0, n, size=40)):
+        assert np.array_equal(hankel1_orders(x, orders), full[:, orders])
+    assert hankel1_orders(x, []).shape == (48, 0)
+
+
+def test_orders_take_the_memory_of_their_output():
+    # all rows of an n=1024 kernel at its 16 top columns: the recurrence
+    # holds two orders per row besides the requested ones, not a table
+    # of every order up to the largest
+    n, cols = 1024, np.arange(1008, 1024)
+    ker = HankelKernel(n)
+    tracemalloc.start()
+    try:
+        out = ker.block(np.arange(n), cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, cols.size)
+    assert peak < 8 * out.nbytes
 
 
 def test_turning_point_against_independent_oracle():
     # row x = n meets order n - 1 where the recurrence has run longest
     n = 4096
-    got = hankel1_orders(np.array([float(n)]), n - 1)[0, -1]
+    got = hankel1_orders(np.array([float(n)]), [n - 1])[0, 0]
     want = scipy.special.hankel1(n - 1, float(n))
     assert abs(got - want) <= 1e-10 * abs(want)

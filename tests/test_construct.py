@@ -195,8 +195,10 @@ def test_factorize_dense_error_small_fio():
 
 
 # (kernel, n, target_leaf, r): the first two have middle blocks at the dense
-# limit (3r >= side), the last two go through the randomized sampling
-# engine (side 16, 3r = 12).
+# limit (3r >= side); the last two have side 16 and 3r = 12, where FIO goes
+# through the randomized sampling engine and Hankel, whose blocks cost
+# whole rows, takes dense lines (block rows, and block columns for the
+# streaming right side).
 STREAMING_CASES = [(FioKernel, 128, 0.25, 4), (HankelKernel, 64, 0.25, 3),
                    (FioKernel, 256, 1, 4), (HankelKernel, 256, 1, 4)]
 
@@ -238,6 +240,7 @@ def test_batched_dense_middle_matches_per_block_reference(kernel, n, r):
 class CountingOracle:
     def __init__(self, inner):
         self.inner, self.shape, self.calls = inner, inner.shape, 0
+        self.whole_rows = getattr(inner, "whole_rows", False)
 
     def block(self, rows, cols):
         self.calls += 1
@@ -245,12 +248,17 @@ class CountingOracle:
 
 
 @pytest.mark.parametrize("mode, calls", [("sampling", 16), ("streaming", 32)])
-def test_dense_limit_one_oracle_call_per_block_line(mode, calls):
-    # 16 middle nodes of side 8 at r=4: one call per block row, and per
-    # block column on the streaming right side, instead of one per block
-    p = make_partition(128, 0.25)
+@pytest.mark.parametrize("kernel, n, leaf", [(FioKernel, 128, 0.25),
+                                             (HankelKernel, 256, 1)])
+def test_dense_limit_one_oracle_call_per_block_line(kernel, n, leaf, mode,
+                                                    calls):
+    # 16 middle nodes at r=4: one call per block row, and per block column
+    # on the streaming right side, instead of one per block.  FIO's side 8
+    # is at the dense limit; Hankel's side 16 is not, but its blocks cost
+    # whole rows
+    p = make_partition(n, leaf)
     assert p.mid_nodes == 16
-    oracle = CountingOracle(FioKernel(128))
+    oracle = CountingOracle(kernel(n))
     factorize(oracle, p, 4, seed=0, mode=mode)
     assert oracle.calls == calls
 

@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.special
 
 from butterfly import (ComposedOperator, DenseOracle, FioKernel,
                        HankelKernel, dense_matrix, dft_apply, factorize,
-                       factors_equal, make_partition)
+                       make_partition)
 from butterfly.bessel import hankel1_orders
 
 from conftest import complex_gaussian
@@ -45,12 +47,12 @@ def test_fio_unimodular(rng):
 def test_hankel_entry_matches_oracle():
     x = 64 + (2 * np.pi / 3) * 3
     want = scipy.special.hankel1(5, x)
-    got = hankel1_orders(np.array([x]), 5)[0, 5]
+    got = hankel1_orders(np.array([x]), [5])[0, 0]
     assert abs(got - want) <= 1e-12 * abs(want)
-    assert got == HankelKernel(64, cache=False).block([3], [5])[0, 0]
+    assert got == HankelKernel(64).block([3], [5])[0, 0]
 
 
-def test_hankel_block_is_finite_and_cached():
+def test_hankel_block_is_finite_and_repeatable():
     ker = HankelKernel(64)
     block = ker.block(np.arange(0, 64, 7), np.arange(0, 64, 5))
     assert np.all(np.isfinite(block))
@@ -58,20 +60,13 @@ def test_hankel_block_is_finite_and_cached():
     assert np.array_equal(block, again)
 
 
-def test_hankel_uncached_path_matches():
-    a = HankelKernel(64, cache=True).block([3, 10], [0, 5, 63])
-    b = HankelKernel(64, cache=False).block([3, 10], [0, 5, 63])
-    assert np.allclose(a, b, rtol=1e-12)
-
-
-def test_hankel_cached_and_uncached_factors_are_bit_equal():
-    # a value depends only on its (x, order), not on the rows that share
-    # its evaluation, so the row cache cannot change a factor
+def test_hankel_factorize_leaves_the_oracle_unchanged():
+    # the oracle is pure: a factorization must not leave state behind
     n = 128
-    p = make_partition(n, 1)
-    a = factorize(HankelKernel(n, cache=False), p, 4, seed=3)
-    b = factorize(HankelKernel(n, cache=True), p, 4, seed=3)
-    assert factors_equal(a, b)
+    ker = HankelKernel(n)
+    before = copy.deepcopy(vars(ker))
+    factorize(ker, make_partition(n, 1), 4, seed=3)
+    assert vars(ker) == before
 
 
 def test_dense_matrix_identity_oracle():
