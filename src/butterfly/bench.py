@@ -4,10 +4,9 @@ The error estimate eps_a compares the factored operator against a ground
 truth on one shared Gaussian input, evaluated at a 256-point sample set.
 For the explicit kernels the truth is the direct row sum at the sampled
 points only (O(|S| * n)); for the composed operator it is the fast chain
-itself, matching the protocol the reported values come from.  The
-baseline ``t_dense_s`` is that reference's full matvec: for the explicit
-kernels the direct sum with every entry evaluated on the fly, never a
-stored dense matrix.
+itself, matching the protocol the reported values come from.  For the
+explicit kernels the baseline ``t_dense_s`` is the direct sum with every
+entry evaluated on the fly, never a stored dense matrix.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ class RowSampledReference:
         return self.entry.block(sample, np.arange(n)) @ g
 
     def matvec_time(self, g: np.ndarray, chunk: int = 256) -> float:
-        """One full direct matvec, entries evaluated on the fly in row
-        chunks, wall clock."""
+        """One full direct matvec, entries made on the fly in row chunks."""
         n = self.entry.shape[1]
         cols = np.arange(n)
         out = np.empty(n, dtype=np.complex128)

@@ -5,9 +5,8 @@ orders of H1 = J + iY come from the three-term recurrence run upward.
 Below the turning point (x > m) J and Y are both oscillatory and the
 recurrence is stable for H1 (Gautschi, SIAM Rev. 9, 1967), which is the
 regime of the Hankel-sum operator (x >= n, orders < n); order sweeps
-therefore refuse any x at or below their largest order.  Everything is
-vectorized over a batch of arguments, and each value depends on its
-argument and order alone.
+refuse any x at or below their largest order.  Everything is vectorized
+over a batch of arguments, and each value depends on its (x, m) alone.
 """
 
 from __future__ import annotations
@@ -189,10 +188,9 @@ def hankel1_orders(x, orders) -> np.ndarray:
     (len(x), len(orders)).
 
     Runs h[m+1] = (2m/x) h[m] - h[m-1] upward from the order-0/1 seeds to
-    the largest requested order, holding two orders besides the requested
-    ones, so a call takes the memory of its output.  The recurrence is
-    stable only below the turning point: every x must exceed every order.
-    Each value depends on its (x, m) alone.
+    the largest requested order, holding two orders besides the output, so
+    a call takes the memory of its output.  The recurrence is stable only
+    below the turning point: every x must exceed every order.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     orders = np.atleast_1d(np.asarray(orders, dtype=np.intp))
