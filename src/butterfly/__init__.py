@@ -10,13 +10,13 @@ from .bench import (BenchConfig, BenchReport, BenchRow, OperatorReference,
 from .construct import (factorize, middle_factorization_matvec,
                         middle_factorization_sampling, recursive_factor_u,
                         recursive_factor_v)
-from .factors import (BlockDiagonalFactor, ButterflyFactors, MiddleFactor,
-                      NnzReport, TransferFactor, factors_equal)
+from .factors import (ButterflyFactors, MiddleFactor, NnzReport,
+                      TransferFactor, factors_equal)
 from .kernels import (ComposedOperator, FioKernel, HankelKernel, dense_matrix,
                       dft_apply)
 from .lowrank import (LowRankApprox, randomized_sampling_svd, randomized_svd,
                       truncated_svd)
-from .oracles import BlockView, DenseOracle, OracleError
+from .oracles import DenseOracle, OracleError
 from .partition import DyadicPartition, make_partition
 from .storage import (FormatError, load_factors, read_vector, save_factors,
                       write_vector)

@@ -172,7 +172,7 @@ def _csv_cell(value) -> str:
 
 
 def build_operator(kernel: str, n: int, r: int, cfg: BenchConfig):
-    """(oracle, reference, effective_mode) for one bench row."""
+    """(partition, oracle, reference, effective mode) for one bench row."""
     p = make_partition(n, cfg.target_leaf)
     if kernel == "fio":
         entry = FioKernel(n)

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factors import (BlockDiagonalFactor, ButterflyFactors, MiddleFactor,
-                      TransferFactor, chain_geometry)
+from .factors import (ButterflyFactors, MiddleFactor, TransferFactor,
+                      chain_geometry)
 from .lowrank import (PROBE_OVERSAMPLING, LowRankApprox, at_dense_limit,
                       complex_normal, floored_inverse, randomized_sampling_svd,
                       svd_from_probes, truncated_svd)
-from .oracles import BlockView, OracleError, is_entry_oracle, is_operator_oracle
+from .oracles import OracleError, is_entry_oracle, is_operator_oracle
 from .partition import DyadicPartition
 
 _SAMPLING_DOMAIN = 0
@@ -58,18 +58,18 @@ def _non_finite(source, i, j) -> OracleError:
 
 
 def _sample_block(entry, p, r, seed, i, j):
-    sub = BlockView(entry, p.node_range(p.half, i), p.node_range(p.half, j))
+    side = p.mid_side
 
     def finite_block(rows, cols):
-        values = sub.block(rows, cols)
+        values = entry.block(np.asarray(rows, dtype=np.intp) + i * side,
+                             np.asarray(cols, dtype=np.intp) + j * side)
         if not np.isfinite(values).all():
             raise _non_finite("entry oracle", i, j)
         return values
 
     rng = block_rng(seed, _SAMPLING_DOMAIN, i, j)
     try:
-        return randomized_sampling_svd(finite_block, sub.shape[0],
-                                       sub.shape[1], r, rng)
+        return randomized_sampling_svd(finite_block, side, side, r, rng)
     except OracleError:
         raise
     except Exception as exc:  # keep the failing block identifiable
@@ -133,9 +133,9 @@ def _middle_level(p: DyadicPartition, r: int, lines):
     w = np.zeros((m, m, r))
     for i, apx in enumerate(lines):
         _place_line(apx, u[i], v[:, :, i], w[i])
-    return (BlockDiagonalFactor(u.reshape(m, side, m * r)),
+    return (TransferFactor(p.half, u.reshape(m, 1, 1, side, m * r)),
             MiddleFactor(w),
-            BlockDiagonalFactor(v.reshape(m, side, m * r)))
+            TransferFactor(p.half, v.reshape(m, 1, 1, side, m * r)))
 
 
 def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
@@ -214,11 +214,12 @@ def _recurse(cur: np.ndarray, p: DyadicPartition, r: int):
     Each level pairs sibling column groups, splits the rows as
     :func:`chain_geometry` says, and keeps the leading k_out singular
     directions of every (rows per output node) x 2k_in block.  Returns the
-    leaf block stack and a list of (level, (nodes, t, pairs, k_out, 2k_in))
-    transfer pieces.
+    (level, blocks) pieces in the order of :func:`chain_geometry`, the leaf
+    (nodes, 1, 1, rows, k) last.
     """
+    *levels, (leaf_level, _) = chain_geometry(p, r)
     pieces = []
-    for lvl, (_, t, pairs, k_out, two_k) in chain_geometry(p, r)[0]:
+    for lvl, (_, t, pairs, k_out, two_k) in levels:
         nb, rows = cur.shape[:2]
         half = rows // t
         stacked = cur.reshape(nb, t, half, pairs, two_k).swapaxes(2, 3)
@@ -226,19 +227,24 @@ def _recurse(cur: np.ndarray, p: DyadicPartition, r: int):
         pieces.append((lvl, np.ascontiguousarray(vh[..., :k_out, :])))
         new_u = uu[..., :k_out] * ss[..., None, :k_out]  # (nb, t, pairs, half, k)
         cur = new_u.swapaxes(2, 3).reshape(nb * t, half, pairs, k_out)
-    return np.ascontiguousarray(cur[:, :, 0, :]), pieces
+    nb, rows, _, k = cur.shape
+    leaf = np.ascontiguousarray(cur.reshape(nb, 1, 1, rows, k))
+    return pieces + [(leaf_level, leaf)]
 
 
-def recursive_factor_u(u_h: BlockDiagonalFactor, p: DyadicPartition, r: int):
+def _side(pieces):
+    """(leaf factor, transfer chain) of one side from :func:`_recurse`."""
+    *chain, leaf = (TransferFactor(lvl, blocks) for lvl, blocks in pieces)
+    return leaf, tuple(chain)
+
+
+def recursive_factor_u(u_h: TransferFactor, p: DyadicPartition, r: int):
     """Expand the middle left factor into its leaf factor and transfer chain."""
     m, side = p.mid_nodes, p.mid_side
-    cur = u_h.blocks.reshape(m, side, m, r)
-    leaf, pieces = _recurse(cur, p, r)
-    return (BlockDiagonalFactor(leaf),
-            tuple(TransferFactor(lvl, blocks) for lvl, blocks in pieces))
+    return _side(_recurse(u_h.blocks.reshape(m, side, m, r), p, r))
 
 
-def recursive_factor_v(v_h: BlockDiagonalFactor, p: DyadicPartition, r: int):
+def recursive_factor_v(v_h: TransferFactor, p: DyadicPartition, r: int):
     """Same expansion applied to the right factor (chain is used adjointed)."""
     return recursive_factor_u(v_h, p, r)
 
@@ -258,6 +264,9 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
         raise ValueError(f"mode={mode!r} needs an entry oracle")
     if mode == "matvec" and not is_operator_oracle(oracle):
         raise ValueError("mode='matvec' needs an operator oracle")
+    if tuple(oracle.shape) != (p.n, p.n):
+        raise ValueError(f"oracle is {tuple(oracle.shape)}, the partition "
+                         f"needs ({p.n}, {p.n})")
 
     if mode == "sampling":
         u_h, middle, v_h = middle_factorization_sampling(oracle, p, r, seed)
@@ -276,25 +285,19 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
 def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
     m, side = _middle_shapes(p, r)
     weights = np.zeros((m, m, r))
+    shapes = chain_geometry(p, r)
     sides = []
     for column in (False, True):
-        shapes, leaf_shape = chain_geometry(p, r)
-        chain = {lvl: np.zeros(shape, dtype=np.complex128)
-                 for lvl, shape in shapes}
-        leaf = np.zeros(leaf_shape, dtype=np.complex128)
+        arrays = [np.zeros(shape, dtype=np.complex128) for _, shape in shapes]
         for k in range(m):
             # the u side takes block row k, the v side block column k
             slab = np.zeros((1, side, m, r), dtype=np.complex128)
             _place_line(_entry_line(entry, p, r, seed, k, column),
                         slab[0], w_row=None if column else weights[k])
-            leaf_k, pieces = _recurse(slab, p, r)
-            for lvl, blocks in pieces:
+            for array, (_, blocks) in zip(arrays, _recurse(slab, p, r)):
                 nb = blocks.shape[0]
-                chain[lvl][k * nb:(k + 1) * nb] = blocks
-            nb = leaf_k.shape[0]
-            leaf[k * nb:(k + 1) * nb] = leaf_k
-        sides.append((BlockDiagonalFactor(leaf),
-                      tuple(TransferFactor(lvl, chain[lvl]) for lvl, _ in shapes)))
+                array[k * nb:(k + 1) * nb] = blocks
+        sides.append(_side([(lvl, a) for (lvl, _), a in zip(shapes, arrays)]))
     (u_outer, g_chain), (v_outer, h_chain) = sides
     return ButterflyFactors(p, r, u_outer, g_chain, MiddleFactor(weights),
                             h_chain, v_outer)

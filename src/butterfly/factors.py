@@ -23,11 +23,11 @@ from .partition import DyadicPartition
 def chain_geometry(p: DyadicPartition, r: int):
     """Block shapes of one side of the chain for middle rank ``r``.
 
-    Returns ``([(level, (nodes, t, pairs, k_out, 2*k_in))], leaf_shape)``
-    for the transfer levels half .. levels-1 in ascending order, and the
-    leaf ``(nodes, rows, k)``.  A level splits each node's rows in two
-    (t = 2) until nodes hold a single index, then only merges column groups
-    (t = 1); it keeps k_out = min(r, rows per output node).
+    Returns ``[(level, (nodes, t, pairs, k_out, 2*k_in))]`` for the transfer
+    levels half .. levels-1 in ascending order, then the leaf at level
+    ``levels`` as ``(nodes, 1, 1, rows, k)``.  A level splits each node's
+    rows in two (t = 2) until nodes hold a single index, then only merges
+    column groups (t = 1); it keeps k_out = min(r, rows per output node).
     """
     shapes = []
     nodes, rows, k = p.mid_nodes, p.mid_side, r
@@ -37,56 +37,7 @@ def chain_geometry(p: DyadicPartition, r: int):
         k_out = min(r, rows)
         shapes.append((lvl, (nodes, t, 2 ** (p.levels - lvl - 1), k_out, 2 * k)))
         nodes, k = nodes * t, k_out
-    return shapes, (nodes, rows, k)
-
-
-def _adjoint_sum(blocks: np.ndarray, win: np.ndarray) -> np.ndarray:
-    """sum_s blocks[:, s]* @ win[:, s] for blocks (nodes, t, ..., rows, cols).
-
-    One vector is conjugated instead of the blocks, B* w = conj(B^T conj(w)),
-    so a single-vector apply copies no factor; a wider block conjugates the
-    factor once rather than every vector.
-    """
-    one = win.shape[-1] == 1
-    bt = blocks.swapaxes(-1, -2)
-    if one:
-        win = win.conj()
-    else:
-        bt = bt.conj()
-    # Accumulate over t in place: materialising the t-times larger
-    # product and summing it made every block apply fault fresh pages.
-    out = bt[:, 0] @ win[:, 0]
-    for s in range(1, blocks.shape[1]):
-        out += bt[:, s] @ win[:, s]
-    return np.conjugate(out, out=out) if one else out
-
-
-@dataclass(frozen=True)
-class BlockDiagonalFactor:
-    """Uniform block diagonal: blocks[b] sits at (b*rows, b*cols)."""
-
-    blocks: np.ndarray  # (nb, rows, cols) complex
-
-    @property
-    def nnz(self) -> int:
-        return self.blocks.size
-
-    @property
-    def shape(self):
-        nb, rows, cols = self.blocks.shape
-        return (nb * rows, nb * cols)
-
-    def dense(self) -> np.ndarray:
-        return self.forward(np.eye(self.shape[1], dtype=complex))
-
-    def forward(self, w: np.ndarray) -> np.ndarray:
-        nb, rows, cols = self.blocks.shape
-        return (self.blocks @ w.reshape(nb, cols, -1)).reshape(nb * rows, -1)
-
-    def adjoint(self, w: np.ndarray) -> np.ndarray:
-        nb, rows, cols = self.blocks.shape
-        out = _adjoint_sum(self.blocks[:, None], w.reshape(nb, 1, rows, -1))
-        return out.reshape(nb * cols, -1)
+    return shapes + [(p.levels, (nodes, 1, 1, rows, k))]
 
 
 @dataclass(frozen=True)
@@ -96,7 +47,9 @@ class TransferFactor:
 
     ``blocks`` is (nodes, t, pairs, k_out, 2*k_in).  Input node i holds
     ``pairs`` pairs of k_in-wide column groups; block [i, s, j] maps pair j
-    of node i to the rank-k_out group j of output node t*i + s.
+    of node i to the rank-k_out group j of output node t*i + s.  With
+    t = pairs = 1 it is block diagonal: the leaf U or V, or the middle-level
+    U or V before it is refactored.
     """
 
     level: int
@@ -120,8 +73,27 @@ class TransferFactor:
         return (self.blocks @ win).reshape(nodes * t * pairs * k_out, -1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """sum_s blocks[:, s]* @ w[:, s].
+
+        One vector is conjugated instead of the blocks, B* w =
+        conj(B^T conj(w)), so a single-vector apply copies no factor; a
+        wider block conjugates the factor once rather than every vector.
+        """
         nodes, t, pairs, k_out, two_k = self.blocks.shape
-        out = _adjoint_sum(self.blocks, w.reshape(nodes, t, pairs, k_out, -1))
+        win = w.reshape(nodes, t, pairs, k_out, -1)
+        one = win.shape[-1] == 1
+        bt = self.blocks.swapaxes(-1, -2)
+        if one:
+            win = win.conj()
+        else:
+            bt = bt.conj()
+        # Accumulate over t in place: materialising the t-times larger
+        # product and summing it made every block apply fault fresh pages.
+        out = bt[:, 0] @ win[:, 0]
+        for s in range(1, t):
+            out += bt[:, s] @ win[:, s]
+        if one:
+            np.conjugate(out, out=out)
         return out.reshape(nodes * pairs * two_k, -1)
 
 
@@ -170,15 +142,21 @@ class ButterflyFactors:
 
     partition: DyadicPartition
     rank: int
-    u_outer: BlockDiagonalFactor
+    u_outer: TransferFactor  # leaf, level ``levels``
     g_chain: tuple  # TransferFactor, levels half .. levels-1 ascending
     middle: MiddleFactor
     h_chain: tuple  # same layout, column side
-    v_outer: BlockDiagonalFactor
+    v_outer: TransferFactor
 
     @property
     def n(self) -> int:
         return self.partition.n
+
+    @property
+    def sides(self):
+        """The sparse factors of each side in ascending level order, leaf
+        last: ``((*g_chain, u_outer), (*h_chain, v_outer))``."""
+        return (*self.g_chain, self.u_outer), (*self.h_chain, self.v_outer)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """Evaluate K @ g through the sparse chain in O(n log n)."""
@@ -197,20 +175,12 @@ class ButterflyFactors:
         if not np.isfinite(w).all():
             row = int(np.argmin(np.isfinite(w).all(axis=1)))
             raise ValueError(f"input row {row} holds NaN or inf")
-        lead, mid_op, trail = (
-            (self.v_outer, self.middle.forward, self.u_outer)
-            if not adjoint
-            else (self.u_outer, self.middle.adjoint, self.v_outer)
-        )
-        down = self.h_chain if not adjoint else self.g_chain
-        up = self.g_chain if not adjoint else self.h_chain
-        w = lead.adjoint(w)
-        for tf in reversed(down):
+        left, right = self.sides[::-1] if adjoint else self.sides
+        for tf in reversed(right):
             w = tf.adjoint(w)
-        w = mid_op(w)
-        for tf in up:
+        w = self.middle.adjoint(w) if adjoint else self.middle.forward(w)
+        for tf in left:
             w = tf.forward(w)
-        w = trail.forward(w)
         return w[:, 0] if vec else w
 
     def dense(self, chunk: int = 512) -> np.ndarray:
@@ -254,9 +224,7 @@ def factors_equal(a: ButterflyFactors, b: ButterflyFactors) -> bool:
         return False
     if len(a.g_chain) != len(b.g_chain) or len(a.h_chain) != len(b.h_chain):
         return False
-    pairs = [(a.u_outer.blocks, b.u_outer.blocks),
-             (a.v_outer.blocks, b.v_outer.blocks),
-             (a.middle.weights, b.middle.weights)]
-    pairs += [(x.blocks, y.blocks) for x, y in zip(a.g_chain, b.g_chain)]
-    pairs += [(x.blocks, y.blocks) for x, y in zip(a.h_chain, b.h_chain)]
+    pairs = [(a.middle.weights, b.middle.weights)]
+    pairs += [(x.blocks, y.blocks)
+              for sa, sb in zip(a.sides, b.sides) for x, y in zip(sa, sb)]
     return all(x.shape == y.shape and np.array_equal(x, y) for x, y in pairs)

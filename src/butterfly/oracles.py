@@ -42,20 +42,6 @@ class DenseOracle:
         return self.matrix.conj().T @ x
 
 
-class BlockView:
-    """Entry oracle restricted to a row/column window of a parent oracle."""
-
-    def __init__(self, parent, rows: range, cols: range):
-        self._parent = parent
-        self._row0 = rows.start
-        self._col0 = cols.start
-        self.shape = (len(rows), len(cols))
-
-    def block(self, rows, cols) -> np.ndarray:
-        return self._parent.block(np.asarray(rows, dtype=np.intp) + self._row0,
-                                  np.asarray(cols, dtype=np.intp) + self._col0)
-
-
 def is_entry_oracle(oracle) -> bool:
     return hasattr(oracle, "block")
 

@@ -15,9 +15,9 @@ Factors appear in product order: leaf-left, transfer-left descending by
 level, middle, transfer-right ascending, leaf-right.  Block shapes follow
 :func:`~butterfly.factors.chain_geometry`: a transfer level stores
 k_out x 2k_in blocks with k_out = min(rank, rows per output node), a leaf
-rows x k blocks.  Version 1 files (zero-padded rank x 2*rank transfer
-blocks) are rejected.  Vector files are a u64 length followed by that many
-complex f64 pairs.
+(the t = pairs = 1 level) rows x k blocks.  Version 1 files (zero-padded
+rank x 2*rank transfer blocks) are rejected.  Vector files are a u64 length
+followed by that many complex f64 pairs.
 
 :func:`_layout` is the one definition of the records: every block of a
 factor has the same record, so each factor is read and written as one numpy
@@ -34,8 +34,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .factors import (BlockDiagonalFactor, ButterflyFactors, MiddleFactor,
-                      TransferFactor, chain_geometry)
+from .factors import (ButterflyFactors, MiddleFactor, TransferFactor,
+                      chain_geometry)
 from .partition import DyadicPartition
 
 MAGIC = b"BFAC"
@@ -105,7 +105,7 @@ def _layout(p: DyadicPartition, rank: int) -> list[_Factor]:
     ``expected`` builds the offset columns only when called, so the header
     checks run before any array exists.
     """
-    shapes, leaf_shape = chain_geometry(p, rank)
+    shapes = chain_geometry(p, rank)
 
     def factor(kind, level, shape, payload, expected):
         dtype = np.dtype([("row_off", "<u8"), ("col_off", "<u8"),
@@ -114,14 +114,15 @@ def _layout(p: DyadicPartition, rank: int) -> list[_Factor]:
         count = math.prod(shape) // math.prod(payload[1])
         return _Factor(kind, level, count, dtype, shape, expected)
 
-    def blocks(kind, level, shape, grid):
-        nodes, t, pairs = grid
+    def blocks(level, shape, kind, leaf_kind):
+        grid = nodes, t, pairs = shape[:3]
         rows, cols = shape[-2:]
 
         def expected():
             col = np.arange(nodes * pairs, dtype=np.uint64).reshape(nodes, 1, pairs)
             return (np.arange(nodes * t * pairs, dtype=np.uint64) * rows,
                     np.broadcast_to(col * cols, grid).ravel(), rows, cols)
+        kind = leaf_kind if level == p.levels else kind
         return factor(kind, level, shape, ("<c16", (cols, rows)), expected)
 
     def middle():
@@ -129,14 +130,11 @@ def _layout(p: DyadicPartition, rank: int) -> list[_Factor]:
         return (flat * rank, flat.reshape(p.mid_nodes, -1).T.ravel() * rank,
                 rank, rank)
 
-    leaf = (leaf_shape[0], 1, 1)
-    return ([blocks(KIND_U_OUTER, p.levels, leaf_shape, leaf)]
-            + [blocks(KIND_G, lvl, shape, shape[:3])
-               for lvl, shape in reversed(shapes)]
+    return ([blocks(lvl, shape, KIND_G, KIND_U_OUTER)
+             for lvl, shape in reversed(shapes)]
             + [factor(KIND_MIDDLE, p.half, (p.mid_nodes, p.mid_nodes, rank),
                       ("<f8", (rank, 1)), middle)]
-            + [blocks(KIND_H, lvl, shape, shape[:3]) for lvl, shape in shapes]
-            + [blocks(KIND_V_OUTER, p.levels, leaf_shape, leaf)])
+            + [blocks(lvl, shape, KIND_H, KIND_V_OUTER) for lvl, shape in shapes])
 
 
 def save_factors(f: ButterflyFactors, path) -> None:
@@ -146,9 +144,9 @@ def save_factors(f: ButterflyFactors, path) -> None:
     written with one call.  Every array shape is checked against the
     geometry first, so a misshapen chain raises and leaves no file behind.
     """
-    arrays = [f.u_outer.blocks, *(tf.blocks for tf in reversed(f.g_chain)),
-              f.middle.weights, *(tf.blocks for tf in f.h_chain),
-              f.v_outer.blocks]
+    left, right = f.sides
+    arrays = [*(tf.blocks for tf in reversed(left)), f.middle.weights,
+              *(tf.blocks for tf in right)]
     layout = _layout(f.partition, f.rank)
     for sec, array in zip(layout, arrays, strict=True):
         if array.shape != sec.shape:
@@ -221,9 +219,7 @@ def _read_factor(rd: _Reader, sec: _Factor):
     array = array.reshape(sec.shape)
     if sec.kind == KIND_MIDDLE:
         return MiddleFactor(array)
-    if sec.kind in (KIND_G, KIND_H):
-        return TransferFactor(sec.level, array)
-    return BlockDiagonalFactor(array)
+    return TransferFactor(sec.level, array)
 
 
 def load_factors(path) -> ButterflyFactors:
@@ -250,11 +246,11 @@ def load_factors(path) -> ButterflyFactors:
         raise FormatError(f"file holds {len(rd.data)} bytes, header implies "
                           f"{size}", min(size, len(rd.data)))
     factors = [_read_factor(rd, sec) for sec in layout]
-    depth = (len(layout) - 3) // 2
-    return ButterflyFactors(p, rank, factors[0],
-                            tuple(reversed(factors[1:depth + 1])),
-                            factors[depth + 1], tuple(factors[depth + 2:-1]),
-                            factors[-1])
+    mid = len(layout) // 2
+    *g_chain, u_outer = reversed(factors[:mid])
+    *h_chain, v_outer = factors[mid + 1:]
+    return ButterflyFactors(p, rank, u_outer, tuple(g_chain), factors[mid],
+                            tuple(h_chain), v_outer)
 
 
 def write_vector(path, g: np.ndarray) -> None:

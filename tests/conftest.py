@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from butterfly.factors import (BlockDiagonalFactor, ButterflyFactors,
-                               MiddleFactor, TransferFactor, chain_geometry)
+from butterfly.factors import (ButterflyFactors, MiddleFactor, TransferFactor,
+                               chain_geometry)
 
 
 def complex_gaussian(rng, shape):
@@ -30,11 +30,11 @@ def random_exact_chain(p, r, rng) -> ButterflyFactors:
         q, _ = np.linalg.qr(flat.swapaxes(-1, -2))
         return np.ascontiguousarray(q.swapaxes(-1, -2).reshape(shape))
 
-    geometry, (nodes, rows, _) = chain_geometry(p, r)
+    *geometry, (leaf, (nodes, _, _, rows, _)) = chain_geometry(p, r)
     shapes = [(lvl, (*shape[:3], r, 2 * r)) for lvl, shape in geometry]
-    leaf_shape = (nodes, rows, r)
-    u_outer = BlockDiagonalFactor(orth_rows(leaf_shape).conj())
-    v_outer = BlockDiagonalFactor(orth_rows(leaf_shape).conj())
+    leaf_shape = (nodes, 1, 1, rows, r)
+    u_outer = TransferFactor(leaf, orth_rows(leaf_shape).conj())
+    v_outer = TransferFactor(leaf, orth_rows(leaf_shape).conj())
     g_chain = tuple(TransferFactor(lvl, orth_rows(shape))
                     for lvl, shape in shapes)
     h_chain = tuple(TransferFactor(lvl, orth_rows(shape))

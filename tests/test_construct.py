@@ -7,7 +7,7 @@ from butterfly import (DenseOracle, FioKernel, HankelKernel, OracleError,
                        middle_factorization_sampling, recursive_factor_u,
                        recursive_factor_v, truncated_svd)
 from butterfly.construct import block_diagonal_probe
-from butterfly.factors import BlockDiagonalFactor
+from butterfly.factors import TransferFactor, chain_geometry
 from butterfly.lowrank import at_dense_limit, floored_inverse
 
 from conftest import complex_gaussian, random_exact_chain
@@ -105,7 +105,8 @@ def test_probe_shape():
 def test_recursion_zero_input():
     p = make_partition(64, 1)
     m, side, r = p.mid_nodes, p.mid_side, 2
-    u_h = BlockDiagonalFactor(np.zeros((m, side, m * r), dtype=complex))
+    u_h = TransferFactor(p.half,
+                         np.zeros((m, 1, 1, side, m * r), dtype=complex))
     outer, chain = recursive_factor_u(u_h, p, r)
     assert np.array_equal(outer.blocks, np.zeros_like(outer.blocks))
     # scaling sits in the left factor, so every transfer block has
@@ -150,7 +151,7 @@ def test_recursion_exact_rank_input(rng):
         dense = dense @ tf.dense()
     blocks = np.stack([dense[i * side:(i + 1) * side,
                              i * m * r:(i + 1) * m * r] for i in range(m)])
-    u_h = BlockDiagonalFactor(blocks)
+    u_h = TransferFactor(p.half, blocks.reshape(m, 1, 1, side, m * r))
     outer, chain = recursive_factor_u(u_h, p, r)
     assert _chain_reconstruction_error(u_h, outer, chain) <= 1e-10
 
@@ -231,8 +232,8 @@ def test_batched_dense_middle_matches_per_block_reference(kernel, n, r):
             v[j, :, i, :] = apx.v0 * apx.sigma0
             w[i, j] = floored_inverse(apx.sigma0)
     u_h, middle, v_h = middle_factorization_sampling(kernel(n), p, r, seed=5)
-    assert np.array_equal(u_h.blocks, u.reshape(m, side, m * r))
-    assert np.array_equal(v_h.blocks, v.reshape(m, side, m * r))
+    assert np.array_equal(u_h.blocks, u.reshape(m, 1, 1, side, m * r))
+    assert np.array_equal(v_h.blocks, v.reshape(m, 1, 1, side, m * r))
     assert np.array_equal(middle.weights, w)
     assert np.count_nonzero(middle.weights == 0) == np.count_nonzero(w == 0)
 
@@ -245,6 +246,14 @@ class CountingOracle:
     def block(self, rows, cols):
         self.calls += 1
         return self.inner.block(rows, cols)
+
+    def apply(self, x):
+        self.calls += 1
+        return self.inner.apply(x)
+
+    def apply_adjoint(self, x):
+        self.calls += 1
+        return self.inner.apply_adjoint(x)
 
 
 @pytest.mark.parametrize("mode, calls", [("sampling", 16), ("streaming", 32)])
@@ -304,6 +313,35 @@ def test_factorize_mode_oracle_mismatch():
         factorize(OpOnly(), p, 2, seed=0, mode="sampling")
     with pytest.raises(ValueError):
         factorize(FioKernel(n), p, 2, seed=0, mode="nonsense")
+
+
+@pytest.mark.parametrize("mode", ["sampling", "streaming", "matvec"])
+@pytest.mark.parametrize("size", [128, 512])
+def test_factorize_rejects_an_oracle_of_another_size(mode, size):
+    # a larger oracle would be factored in its leading corner; the sizes
+    # are compared before the oracle is called
+    p = make_partition(256, 1)
+    oracle = CountingOracle(DenseOracle(np.eye(size)))
+    with pytest.raises(ValueError,
+                       match=rf"\({size}, {size}\).*\(256, 256\)"):
+        factorize(oracle, p, 4, seed=0, mode=mode)
+    assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("mode", ["sampling", "streaming", "matvec"])
+def test_every_sparse_factor_follows_chain_geometry(mode):
+    # one layout: each side is its transfer levels in ascending order, then
+    # the leaf at level ``levels`` as a t = pairs = 1 level
+    n, r = 64, 3
+    p = make_partition(n, 0.25)
+    oracle = DenseOracle(dense_matrix(FioKernel(n), n))
+    f = factorize(oracle, p, r, seed=0, mode=mode)
+    geometry = chain_geometry(p, r)
+    leaf_level, (_, t, pairs, _, _) = geometry[-1]
+    assert (leaf_level, t, pairs) == (p.levels, 1, 1)
+    for side in ((*f.g_chain, f.u_outer), (*f.h_chain, f.v_outer)):
+        assert all(isinstance(tf, TransferFactor) for tf in side)
+        assert [(tf.level, tf.blocks.shape) for tf in side] == geometry
 
 
 def test_apply_against_dense_and_columns(rng):

@@ -114,9 +114,10 @@ def test_dense_factor_views_compose(rng):
 
 
 def test_dense_places_blocks_at_their_offsets(rng):
-    # reference: every block written at its documented offset, one by one
+    # reference: every block written at its documented offset, one by one;
+    # the leaf, last on the side, is the block-diagonal t = pairs = 1 case
     f = random_exact_chain(make_partition(64, 0.25), 3, rng)
-    for tf in f.g_chain:
+    for tf in f.sides[0]:
         nodes, t, pairs, k_out, two_k = tf.blocks.shape
         want = np.zeros(tf.shape, dtype=complex)
         for i, s, j in np.ndindex(nodes, t, pairs):
@@ -124,12 +125,6 @@ def test_dense_places_blocks_at_their_offsets(rng):
             c0 = (i * pairs + j) * two_k
             want[r0:r0 + k_out, c0:c0 + two_k] = tf.blocks[i, s, j]
         assert np.array_equal(tf.dense(), want)
-    nb, rows, cols = f.u_outer.blocks.shape
-    want = np.zeros(f.u_outer.shape, dtype=complex)
-    for b in range(nb):
-        want[b * rows:(b + 1) * rows, b * cols:(b + 1) * cols] = \
-            f.u_outer.blocks[b]
-    assert np.array_equal(f.u_outer.dense(), want)
     m, r = f.middle.m, f.middle.rank
     want = np.zeros(f.middle.shape, dtype=complex)
     for i in range(m):

@@ -6,7 +6,7 @@ from butterfly import (FioKernel, LowRankApprox, make_partition,
 from butterfly.lowrank import (PROBE_OVERSAMPLING, SAMPLES_PER_RANK,
                                at_dense_limit, floored_inverse,
                                svd_from_probes)
-from butterfly.oracles import BlockView, DenseOracle
+from butterfly.oracles import DenseOracle
 
 from conftest import complex_gaussian, prescribed_svd_matrix
 

@@ -7,10 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from butterfly import (BlockDiagonalFactor, ButterflyFactors, FioKernel,
-                       MiddleFactor, TransferFactor, factorize, factors_equal,
-                       load_factors, make_partition, read_vector,
-                       save_factors, write_vector)
+from butterfly import (ButterflyFactors, FioKernel, MiddleFactor,
+                       TransferFactor, factorize, factors_equal, load_factors,
+                       make_partition, read_vector, save_factors, write_vector)
 from butterfly.factors import chain_geometry
 from butterfly.storage import FormatError
 
@@ -139,7 +138,7 @@ GOLDEN_SHA256 = \
 def arange_chain(p, rank):
     """Chain with every array filled from a running arange: deterministic
     bytes without any LAPACK call."""
-    shapes, leaf_shape = chain_geometry(p, rank)
+    *shapes, (leaf, leaf_shape) = chain_geometry(p, rank)
     start = 0
 
     def values(shape):
@@ -152,24 +151,22 @@ def arange_chain(p, rank):
         k = values(shape)
         return (k + 0.5) / 3.0 - 1j * k / 7.0
 
-    u = BlockDiagonalFactor(cplx(leaf_shape))
+    u = TransferFactor(leaf, cplx(leaf_shape))
     g = tuple(TransferFactor(lvl, cplx(shape)) for lvl, shape in shapes)
     mid = MiddleFactor((values((p.mid_nodes, p.mid_nodes, rank)) + 1.0) / 5.0)
     h = tuple(TransferFactor(lvl, cplx(shape)) for lvl, shape in shapes)
-    v = BlockDiagonalFactor(cplx(leaf_shape))
+    v = TransferFactor(leaf, cplx(leaf_shape))
     return ButterflyFactors(p, rank, u, g, mid, h, v)
 
 
 def record_sections(p, rank):
     """(first record byte, block count, record bytes) per factor in file
     order, from the documented format alone."""
-    shapes, leaf_shape = chain_geometry(p, rank)
     complex_ = [(math.prod(s[:-2]), 24 + 16 * s[-2] * s[-1])
-                for s in [leaf_shape] + [s for _, s in reversed(shapes)]]
+                for _, s in reversed(chain_geometry(p, rank))]
     middle = [(p.mid_nodes ** 2, 24 + 8 * rank)]
-    mirrored = complex_[:0:-1] + complex_[:1]
     sections, offset = [], 28
-    for count, size in complex_ + middle + mirrored:
+    for count, size in complex_ + middle + complex_[::-1]:
         sections.append((offset + 13, count, size))
         offset += 13 + count * size
     return sections
