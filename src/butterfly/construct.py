@@ -8,9 +8,11 @@ side of the streaming mode, one block column) are produced as one stack of
 rank-r triples, and one assembler places every line whatever the mode.
 
 * entry oracle, blocks at the dense limit or marked ``whole_rows`` -- one
-  ``block`` call per line and one stacked truncated SVD;
-* entry oracle below it -- the randomized sampling engine block by block,
-  its results stacked;
+  ``block`` call per line and one stacked sketched (for narrow blocks,
+  truncated) SVD; streaming reads such a line block by block unless the
+  oracle is ``whole_rows``, so it never holds a side x n line;
+* entry oracle above the dense limit -- the randomized sampling engine
+  block by block, its results stacked;
 * operator oracle -- one application of K and one of K* for the whole
   level, then one stacked probe finish per block row.
 
@@ -31,13 +33,14 @@ from .factors import (ButterflyFactors, MiddleFactor, TransferFactor,
                       chain_geometry)
 from .lowrank import (PROBE_OVERSAMPLING, LowRankApprox, at_dense_limit,
                       complex_normal, floored_inverse, randomized_sampling_svd,
-                      svd_from_probes, truncated_svd)
+                      sketched_svd, svd_from_probes, truncated_svd)
 from .oracles import OracleError, is_entry_oracle, is_operator_oracle
 from .partition import DyadicPartition
 
 _SAMPLING_DOMAIN = 0
 _COL_PROBE_DOMAIN = 1
 _ROW_PROBE_DOMAIN = 2
+_SKETCH_DOMAIN = 3
 
 
 def block_rng(seed, *key) -> np.random.Generator:
@@ -76,39 +79,52 @@ def _sample_block(entry, p, r, seed, i, j):
         raise OracleError(f"entry oracle failed on middle block ({i}, {j})") from exc
 
 
-def _entry_line(entry, p, r, seed, k, column=False) -> LowRankApprox:
+def _dense_part(entry, p, r, seed, k, others, column):
+    """Stacked rank-r triples of the blocks ``others`` (a range) of block
+    row k, or of block column k with ``column``, read in one call."""
+    side = p.mid_side
+    ids = [(other, k) if column else (k, other) for other in others]
+    node = np.asarray(p.node_range(p.half, k))
+    span = np.arange(others.start * side, others.stop * side)
+    try:
+        values = entry.block(span, node) if column else entry.block(node, span)
+    except Exception as exc:
+        raise OracleError(f"entry oracle failed on middle blocks {ids[0]} "
+                          f"to {ids[-1]}") from exc
+    blocks = (values.reshape(len(ids), side, side) if column
+              else values.reshape(side, len(ids), side).swapaxes(0, 1))
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    if not finite.all():
+        raise _non_finite("entry oracle", *ids[int(np.argmin(finite))])
+    width = r + PROBE_OVERSAMPLING
+    if width > side // 2:
+        return truncated_svd(blocks, r)
+    omega = [complex_normal(block_rng(seed, _SKETCH_DOMAIN, *b), (side, width))
+             for b in ids]
+    return sketched_svd(blocks, r, np.stack(omega))
+
+
+def _entry_line(entry, p, r, seed, k, column=False,
+                streaming=False) -> LowRankApprox:
     """Stacked rank-r triples of the m blocks of block row k.
 
     With ``column`` the line is block column k, returned as block row k of
     the adjoint (u0 and v0 swapped), so that it is placed like a row.
     """
     m, side = p.mid_nodes, p.mid_side
-
-    def block_id(other):
-        return (other, k) if column else (k, other)
-
-    if getattr(entry, "whole_rows", False) or at_dense_limit(side, side, r):
-        node, every = np.asarray(p.node_range(p.half, k)), np.arange(p.n)
-        try:
-            values = (entry.block(every, node) if column
-                      else entry.block(node, every))
-        except Exception as exc:
-            raise OracleError(f"entry oracle failed on middle block "
-                              f"{'column' if column else 'row'} {k}") from exc
-        blocks = (values.reshape(m, side, side) if column
-                  else values.reshape(side, m, side).swapaxes(0, 1))
-        finite = np.isfinite(blocks).all(axis=(1, 2))
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise _non_finite("entry oracle", *block_id(bad))
-        apx = truncated_svd(blocks, r)
+    whole_rows = getattr(entry, "whole_rows", False)
+    if whole_rows or at_dense_limit(side, side, r):
+        step = 1 if streaming and not whole_rows else m
+        parts = [_dense_part(entry, p, r, seed, k, range(lo, lo + step), column)
+                 for lo in range(0, m, step)]
+        join = np.concatenate
     else:
-        parts = [_sample_block(entry, p, r, seed, *block_id(other))
+        parts = [_sample_block(entry, p, r, seed,
+                               *((other, k) if column else (k, other)))
                  for other in range(m)]
-        apx = LowRankApprox(np.stack([a.u0 for a in parts]),
-                            np.stack([a.sigma0 for a in parts]),
-                            np.stack([a.v0 for a in parts]))
-    return LowRankApprox(apx.v0, apx.sigma0, apx.u0) if column else apx
+        join = np.stack
+    u0, sigma0, v0 = map(join, zip(*((a.u0, a.sigma0, a.v0) for a in parts)))
+    return LowRankApprox(*((v0, sigma0, u0) if column else (u0, sigma0, v0)))
 
 
 def _place_line(apx: LowRankApprox, u_row=None, v_col=None, w_row=None):
@@ -292,8 +308,8 @@ def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
         for k in range(m):
             # the u side takes block row k, the v side block column k
             slab = np.zeros((1, side, m, r), dtype=np.complex128)
-            _place_line(_entry_line(entry, p, r, seed, k, column),
-                        slab[0], w_row=None if column else weights[k])
+            line = _entry_line(entry, p, r, seed, k, column, streaming=True)
+            _place_line(line, slab[0], w_row=None if column else weights[k])
             for array, (_, blocks) in zip(arrays, _recurse(slab, p, r)):
                 nb = blocks.shape[0]
                 array[k * nb:(k + 1) * nb] = blocks

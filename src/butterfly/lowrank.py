@@ -1,9 +1,9 @@
 """Fixed-rank approximation engines.
 
-Three routes to a rank-r approximate SVD ``Z ~ u0 @ diag(sigma0) @ v0*``:
+Four routes to a rank-r approximate SVD ``Z ~ u0 @ diag(sigma0) @ v0*``:
 
-* :func:`truncated_svd` -- dense, optimal; builds every middle block whose
-  samples would cover it whole (:func:`at_dense_limit`);
+* :func:`truncated_svd` (optimal) and :func:`sketched_svd` (one power
+  step) -- dense; for blocks read whole (:func:`at_dense_limit`);
 * :func:`randomized_svd` -- probes a black-box operator with r +
   ``PROBE_OVERSAMPLING`` Gaussian vectors per side;
 * :func:`randomized_sampling_svd` -- visits ``SAMPLES_PER_RANK`` * r rows and
@@ -12,13 +12,13 @@ Three routes to a rank-r approximate SVD ``Z ~ u0 @ diag(sigma0) @ v0*``:
 :func:`svd_from_probes` finishes the probe route from stored products, for
 blocks of an operator that cannot be applied to fresh vectors.
 
-:func:`truncated_svd`, :func:`svd_from_probes`, :func:`floored_inverse` and
-:func:`pinv_floored` accept leading batch axes: a stack of equal-shaped
-blocks is one call, each block treated on its own.  The construction passes
-whole block lines of the middle level this way.  A slice of a stacked
-:func:`truncated_svd` is bit-identical to the call on that block alone;
-stacked products may round differently, so :func:`svd_from_probes` slices
-agree to rounding only.
+:func:`truncated_svd`, :func:`sketched_svd`, :func:`svd_from_probes`,
+:func:`floored_inverse` and :func:`pinv_floored` accept leading batch axes:
+a stack of equal-shaped blocks is one call, each block treated on its own.
+The construction passes whole block lines of the middle level this way.  A
+slice of a stacked :func:`truncated_svd` or :func:`sketched_svd` is
+bit-identical to the call on that block alone; stacked products may round
+differently, so :func:`svd_from_probes` slices agree to rounding only.
 
 All randomized draws come from a caller-supplied generator, and every
 reduction is deterministic, so identical seeds give bit-identical results.
@@ -49,6 +49,10 @@ PROBE_OVERSAMPLING = 5
 #: Random rows (and columns) :func:`randomized_sampling_svd` draws per unit
 #: of rank, for the skeleton sweep and again for the final least squares.
 SAMPLES_PER_RANK = 3
+
+#: Block side per unit of rank up to which reading a block whole costs less
+#: than the sampling engine's ~15 r side entries, pivoting and least squares.
+DENSE_SIDE_PER_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -174,9 +178,19 @@ def truncated_svd(z: np.ndarray, r: int) -> LowRankApprox:
 
 
 def at_dense_limit(m: int, n: int, r: int) -> bool:
-    """True when the sampling engine would draw every row or column of an
-    m x n block, so its exact limit, a dense truncated SVD, applies instead."""
-    return r * SAMPLES_PER_RANK >= max(m, n)
+    """True when reading an m x n block whole costs less than sampling it:
+    its longer side is at most ``DENSE_SIDE_PER_RANK`` * r."""
+    return max(m, n) <= DENSE_SIDE_PER_RANK * r
+
+
+def sketched_svd(z: np.ndarray, r: int, omega: np.ndarray) -> LowRankApprox:
+    """Rank-r SVD of dense blocks from their Gaussian sketch ``omega``
+    (..., n, l >= r) with one power step (Halko, Martinsson and Tropp 2011,
+    Alg. 4.4): Q = orth(Z omega), P = orth(Z* Q), Z P = Q' R, SVD of R."""
+    q, _ = np.linalg.qr(z @ omega)
+    q_row, _ = np.linalg.qr(_adjoint(_adjoint(q) @ z))
+    q_col, mid = np.linalg.qr(z @ q_row)
+    return _assemble(mid, q_col, q_row, r)
 
 
 def randomized_svd(apply_op, m, n, r, rng=None) -> LowRankApprox:

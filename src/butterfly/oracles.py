@@ -10,9 +10,9 @@ Two contracts, mirroring how the construction algorithms touch the matrix:
 Both must be pure and safe to call concurrently.
 
 An entry oracle may set ``whole_rows = True`` when a block costs as much as
-its rows up to its largest column: middle block lines are then read whole.
-Wrappers must forward it (perfbench's ``EntryProbe`` does not, harmless
-while its Hankel workload sits at the dense limit).
+its rows up to its largest column: middle block lines are then read whole
+in every mode and at any rank.  Wrappers must forward it (perfbench's
+``EntryProbe`` does not; harmless for its Hankel workload, sampling mode).
 """
 
 from __future__ import annotations

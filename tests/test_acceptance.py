@@ -134,19 +134,27 @@ class CountingOracle:
 
 
 def test_sampling_cost_scales_as_n15_r():
-    # The machine-independent twin of criterion 4: entries the sampling
-    # construction evaluates, against the O(n^1.5 r) cost of the paper.
-    # Leaf 1, r=4 keeps every middle block below the dense limit, so each
-    # goes through the randomized sampling engine.  With one skeleton sweep
-    # the constants are 15.4 (n=256) and 15.5 (n=1024); entry counts are
-    # deterministic, so a second sweep (30.0 at n=1024) fails the per-size
-    # bound, and a sampler that grew as n^2 would double the constant from
-    # one size to the next.
+    # The machine-independent twin of criterion 4 for the randomized
+    # sampling engine: entries it evaluates on every middle block of FIO
+    # at leaf 1, r=4, against the O(n^1.5 r) cost of the paper.  These
+    # blocks sit below the dense crossover, so factorize reads them whole
+    # (n^2 entries); the engine is called directly, with the generators
+    # factorize would give it.  With one skeleton sweep the constants are
+    # 15.4 (n=256) and 15.5 (n=1024); entry counts are deterministic, so a
+    # second sweep (30.0 at n=1024) fails the per-size bound, and a sampler
+    # that grew as n^2 would double the constant from one size to the next.
     r = 4
     constants = {}
     for n in (256, 1024):
+        p = make_partition(n, 1)
+        m, side = p.mid_nodes, p.mid_side
         oracle = CountingOracle(FioKernel(n))
-        factorize(oracle, make_partition(n, 1), r, seed=0, mode="sampling")
+        for i in range(m):
+            for j in range(m):
+                def block(rows, cols, i=i, j=j):
+                    return oracle.block(rows + i * side, cols + j * side)
+                randomized_sampling_svd(block, side, side, r,
+                                        block_rng(0, 0, i, j))
         constants[n] = oracle.entries / (n ** 1.5 * r)
     growth = constants[1024] / constants[256]
     print(f"sampling cost: entries / (n^1.5 r) = {constants}, "

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,18 +200,23 @@ def test_factorize_dense_error_small_fio():
     assert np.linalg.norm(k - f.dense()) / np.linalg.norm(k) <= 1e-3
 
 
-# (kernel, n, target_leaf, r): the first two have middle blocks at the dense
-# limit (3r >= side); the last two have side 16 and 3r = 12, where FIO goes
-# through the randomized sampling engine and Hankel, whose blocks cost
-# whole rows, takes dense lines (block rows, and block columns for the
-# streaming right side).
+# (kernel, n, target_leaf, r) above the dense crossover (side 64 > 32 r):
+# the randomized sampling engine builds these middle blocks
+ENGINE_CASES = [(FioKernel, 1024, 4, 1)]
+# Middle sides 8, 4, 16 and 16 take dense lines compressed by a truncated
+# SVD (r + 5 above half the side) and FIO side 32 at r=4 the sketched SVD.
+# Streaming reads FIO's dense lines block by block and Hankel's, whose
+# blocks cost whole rows, as whole block rows and columns.
 STREAMING_CASES = [(FioKernel, 128, 0.25, 4), (HankelKernel, 64, 0.25, 3),
-                   (FioKernel, 256, 1, 4), (HankelKernel, 256, 1, 4)]
+                   (FioKernel, 256, 1, 4), (HankelKernel, 256, 1, 4),
+                   (FioKernel, 1024, 1, 4), *ENGINE_CASES]
 
 
 @pytest.mark.parametrize("kernel, n, leaf, r", STREAMING_CASES)
 def test_streaming_matches_sampling_bitwise(kernel, n, leaf, r):
     p = make_partition(n, leaf)
+    engine = (kernel, n, leaf, r) in ENGINE_CASES
+    assert at_dense_limit(p.mid_side, p.mid_side, r) != engine
     a = factorize(kernel(n), p, r, seed=9, mode="sampling")
     b = factorize(kernel(n), p, r, seed=9, mode="streaming")
     assert factors_equal(a, b)
@@ -241,10 +251,12 @@ def test_batched_dense_middle_matches_per_block_reference(kernel, n, r):
 class CountingOracle:
     def __init__(self, inner):
         self.inner, self.shape, self.calls = inner, inner.shape, 0
+        self.entries = 0
         self.whole_rows = getattr(inner, "whole_rows", False)
 
     def block(self, rows, cols):
         self.calls += 1
+        self.entries += np.size(rows) * np.size(cols)
         return self.inner.block(rows, cols)
 
     def apply(self, x):
@@ -256,20 +268,83 @@ class CountingOracle:
         return self.inner.apply_adjoint(x)
 
 
-@pytest.mark.parametrize("mode, calls", [("sampling", 16), ("streaming", 32)])
-@pytest.mark.parametrize("kernel, n, leaf", [(FioKernel, 128, 0.25),
-                                             (HankelKernel, 256, 1)])
+@pytest.mark.parametrize("kernel, n, leaf, mode, calls", [
+    (FioKernel, 128, 0.25, "sampling", 16),
+    (FioKernel, 128, 0.25, "streaming", 512),
+    (HankelKernel, 256, 1, "sampling", 16),
+    (HankelKernel, 256, 1, "streaming", 32)])
 def test_dense_limit_one_oracle_call_per_block_line(kernel, n, leaf, mode,
                                                     calls):
-    # 16 middle nodes at r=4: one call per block row, and per block column
-    # on the streaming right side, instead of one per block.  FIO's side 8
-    # is at the dense limit; Hankel's side 16 is not, but its blocks cost
-    # whole rows
+    # 16 middle nodes at r=4: sampling makes one call per block row instead
+    # of one per block.  Streaming reads FIO's dense lines one block at a
+    # time on each side (16 x 16 x 2 calls); Hankel's blocks cost whole
+    # rows, so it reads whole block rows and columns
     p = make_partition(n, leaf)
     assert p.mid_nodes == 16
     oracle = CountingOracle(kernel(n))
     factorize(oracle, p, 4, seed=0, mode=mode)
     assert oracle.calls == calls
+
+
+@pytest.mark.parametrize("mode", ["sampling", "streaming"])
+def test_whole_rows_oracle_reads_whole_lines_above_the_crossover(mode):
+    # Hankel side 64 at r=1 is above the crossover, where an oracle without
+    # whole_rows goes through the sampling engine
+    p = make_partition(1024, 4)
+    assert p.mid_nodes == 16 and not at_dense_limit(64, 64, 1)
+    oracle = CountingOracle(HankelKernel(1024))
+    factorize(oracle, p, 1, seed=0, mode=mode)
+    assert oracle.calls == {"sampling": 16, "streaming": 32}[mode]
+
+
+@pytest.mark.parametrize("mode, calls, reads", [("sampling", 16, 1),
+                                                ("streaming", 512, 2)])
+def test_dense_lines_evaluate_each_entry_once_per_line(mode, calls, reads):
+    # FIO n=512, leaf 1, r=6: 32 x 32 blocks below the crossover.  Sampling
+    # reads each block row whole; streaming reads each block alone, once
+    # for its block row and once for its block column
+    n = 512
+    p = make_partition(n, 1)
+    assert (p.mid_nodes, p.mid_side) == (16, 32) and at_dense_limit(32, 32, 6)
+    oracle = CountingOracle(FioKernel(n))
+    factorize(oracle, p, 6, seed=0, mode=mode)
+    assert (oracle.calls, oracle.entries) == (calls, reads * n * n)
+
+
+def test_streaming_peak_memory_near_factor_bytes():
+    # block-at-a-time dense lines never hold a side x n line: the traced
+    # peak stays within 1.25x of the factors it returns (whole lines: 1.57x)
+    n = 512
+    p = make_partition(n, 1)
+    # warm up: a first factorization in a process also traces lazily
+    # initialised library state
+    factorize(FioKernel(n), p, 6, seed=0, mode="streaming")
+    tracemalloc.start()
+    try:
+        f = factorize(FioKernel(n), p, 6, seed=0, mode="streaming")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = f.middle.weights.nbytes + sum(
+        tf.blocks.nbytes for tf in (f.u_outer, *f.g_chain, *f.h_chain,
+                                    f.v_outer))
+    assert peak <= 1.25 * held
+
+
+@pytest.mark.slow
+def test_sketched_factors_identical_across_blas_threads(tmp_path):
+    # n=4096, leaf 1, r=4 compresses its 64 x 64 blocks by the sketched SVD
+    def factor(threads):
+        out = tmp_path / f"t{threads}.bfac"
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-m", "butterfly", "factor", "--kernel", "fio",
+             "--n", "4096", "--rank", "4", "--seed", "0", "--leaf", "1",
+             "--mode", "sampling", "--out", str(out)], env=env, check=True)
+        return out.read_bytes()
+
+    assert factor("1") == factor("2")
 
 
 def _matrix_with_nan_block(n, leaf, i, j, whole):
@@ -285,13 +360,38 @@ def _matrix_with_nan_block(n, leaf, i, j, whole):
 
 @pytest.mark.parametrize("mode, n, leaf, whole", [
     ("sampling", 128, 0.25, False), ("streaming", 128, 0.25, False),
-    ("matvec", 128, 0.25, False),
-    # randomized engine: it samples rows and columns, so fill the block
-    ("sampling", 256, 1, True), ("streaming", 256, 1, True)])
+    ("matvec", 128, 0.25, False), ("sampling", 256, 1, True),
+    ("streaming", 256, 1, True),
+    # sketched dense lines (side 32)
+    ("sampling", 1024, 1, False), ("streaming", 1024, 1, False)])
 def test_non_finite_oracle_output_names_the_block(mode, n, leaf, whole):
     p, oracle = _matrix_with_nan_block(n, leaf, 2, 5, whole)
+    assert at_dense_limit(p.mid_side, p.mid_side, 4)
     with pytest.raises(OracleError, match=r"non-finite.*block \(2, 5\)"):
         factorize(oracle, p, 4, seed=0, mode=mode)
+
+
+@pytest.mark.parametrize("mode, blocks", [
+    ("sampling", r"\(0, 0\) to \(0, 15\)"),   # one call per block row
+    ("streaming", r"\(0, 0\) to \(0, 0\)")])  # one call per block
+def test_failing_entry_oracle_names_the_blocks_it_was_reading(mode, blocks):
+    class Failing:
+        shape = (512, 512)
+
+        def block(self, rows, cols):
+            raise RuntimeError("unavailable")
+
+    with pytest.raises(OracleError, match=rf"middle blocks {blocks}"):
+        factorize(Failing(), make_partition(512, 1), 6, seed=0, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["sampling", "streaming"])
+def test_non_finite_entry_names_the_block_above_the_crossover(mode):
+    # the randomized engine samples rows and columns, so fill the block
+    p, oracle = _matrix_with_nan_block(1024, 4, 2, 5, True)
+    assert not at_dense_limit(p.mid_side, p.mid_side, 1)
+    with pytest.raises(OracleError, match=r"non-finite.*block \(2, 5\)"):
+        factorize(oracle, p, 1, seed=0, mode=mode)
 
 
 def test_factorize_mode_oracle_mismatch():

@@ -3,9 +3,9 @@ import pytest
 
 from butterfly import (FioKernel, LowRankApprox, make_partition,
                        randomized_sampling_svd, randomized_svd, truncated_svd)
-from butterfly.lowrank import (PROBE_OVERSAMPLING, SAMPLES_PER_RANK,
-                               at_dense_limit, floored_inverse,
-                               svd_from_probes)
+from butterfly.lowrank import (DENSE_SIDE_PER_RANK, PROBE_OVERSAMPLING,
+                               SAMPLES_PER_RANK, at_dense_limit,
+                               floored_inverse, sketched_svd, svd_from_probes)
 from butterfly.oracles import DenseOracle
 
 from conftest import complex_gaussian, prescribed_svd_matrix
@@ -91,9 +91,12 @@ def test_randomized_svd_width_boundary(rng):
 
 
 def test_at_dense_limit_threshold():
-    # dense exactly when SAMPLES_PER_RANK * r samples cover the longer side
+    # dense exactly while the longer side is at most 32 r: at r=4 the
+    # crossover is side 128, so criterion 4's sides 32, 64 and 128 read
+    # their blocks whole and criterion 5's side 1024 samples them
     r = 4
-    side = SAMPLES_PER_RANK * r
+    side = 128
+    assert DENSE_SIDE_PER_RANK * r == side
     assert at_dense_limit(side, side, r)
     assert at_dense_limit(side - 1, side, r)
     assert not at_dense_limit(side + 1, side, r)
@@ -115,6 +118,45 @@ def test_randomized_svd_fio_block_close_to_optimal():
     opt = np.linalg.norm(z - truncated_svd(z, 4).matrix(), 2)
     a = randomized_svd(dense_apply(z), 64, 64, 4, rng=np.random.default_rng(3))
     assert np.linalg.norm(z - a.matrix(), 2) <= 10 * opt
+
+
+def test_sketched_svd_stack_equals_slices_bitwise(rng):
+    # the construction passes a block row as a strided view of one oracle
+    # call; each slice must match the block compressed alone, bit for bit
+    side, m, r = 24, 5, 4
+    line = complex_gaussian(rng, (side, m * side))
+    blocks = line.reshape(side, m, side).swapaxes(0, 1)
+    omega = complex_gaussian(rng, (m, side, r + PROBE_OVERSAMPLING))
+    a = sketched_svd(blocks, r, omega)
+    for b in range(m):
+        one = sketched_svd(np.ascontiguousarray(blocks[b]), r, omega[b])
+        assert np.array_equal(a.u0[b], one.u0)
+        assert np.array_equal(a.sigma0[b], one.sigma0)
+        assert np.array_equal(a.v0[b], one.v0)
+
+
+@pytest.mark.parametrize("n", [4096, 16384])  # middle sides 64 and 128
+def test_sketched_svd_fio_blocks_near_optimal(n):
+    r = 4
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for i, j in ((0, 0), (3, 17), (40, 40), (63, 2)):
+        z = _fio_middle_block(n, 1, i, j)
+        opt = np.linalg.norm(z - truncated_svd(z, r).matrix(), 2)
+        a = sketched_svd(z, r, complex_gaussian(
+            rng, (z.shape[1], r + PROBE_OVERSAMPLING)))
+        check_invariants(a)
+        worst = max(worst, np.linalg.norm(z - a.matrix(), 2) / opt)
+    assert worst <= 1.05
+
+
+def test_sketched_svd_zero_and_exact_rank(rng):
+    a = sketched_svd(np.zeros((16, 16)), 2, complex_gaussian(rng, (16, 7)))
+    assert np.array_equal(a.sigma0, np.zeros(2))
+    check_invariants(a)
+    z = prescribed_svd_matrix(rng, 20, 16, [2.0, 1.0, 0.5])
+    a = sketched_svd(z, 3, complex_gaussian(rng, (16, 8)))
+    assert np.linalg.norm(z - a.matrix(), 2) <= 1e-13
 
 
 def test_sampling_svd_zero_matrix(rng):
