@@ -235,12 +235,13 @@ def _recurse(cur: np.ndarray, p: DyadicPartition, r: int):
     """
     *levels, (leaf_level, _) = chain_geometry(p, r)
     pieces = []
-    for lvl, (_, t, pairs, k_out, two_k) in levels:
+    for lvl, (_, pairs, t, k_out, two_k) in levels:
         nb, rows = cur.shape[:2]
         half = rows // t
         stacked = cur.reshape(nb, t, half, pairs, two_k).swapaxes(2, 3)
         uu, ss, vh = np.linalg.svd(stacked, full_matrices=False)
-        pieces.append((lvl, np.ascontiguousarray(vh[..., :k_out, :])))
+        pieces.append((lvl, np.ascontiguousarray(vh[..., :k_out, :].swapaxes(1, 2))))
+        del vh  # free before new_u: the copy above adds one level to the peak
         new_u = uu[..., :k_out] * ss[..., None, :k_out]  # (nb, t, pairs, half, k)
         cur = new_u.swapaxes(2, 3).reshape(nb * t, half, pairs, k_out)
     nb, rows, _, k = cur.shape

@@ -5,14 +5,16 @@ A factorization of an n-by-n operator K is the product
     U G(L-1) ... G(h) M H(h)* ... H(L-1)* V*
 
 held here as structured block arrays rather than generic sparse matrices:
-every block at one level has the same shape, so applying a level is one
-batched matmul.  Each level keeps only the rank its nodes can carry,
+every block at one level has the same shape, and a transfer level keeps
+the t blocks fed by one input pair together, so either direction of a level
+is one matmul call.  Each level keeps only the rank its nodes can carry,
 min(r, rows per node), so the arrays hold no zero padding;
 :func:`chain_geometry` is the one place that fixes those shapes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,7 @@ from .partition import DyadicPartition
 def chain_geometry(p: DyadicPartition, r: int):
     """Block shapes of one side of the chain for middle rank ``r``.
 
-    Returns ``[(level, (nodes, t, pairs, k_out, 2*k_in))]`` for the transfer
+    Returns ``[(level, (nodes, pairs, t, k_out, 2*k_in))]`` for the transfer
     levels half .. levels-1 in ascending order, then the leaf at level
     ``levels`` as ``(nodes, 1, 1, rows, k)``.  A level splits each node's
     rows in two (t = 2) until nodes hold a single index, then only merges
@@ -35,9 +37,17 @@ def chain_geometry(p: DyadicPartition, r: int):
         t = 2 if rows >= 2 else 1
         rows //= t
         k_out = min(r, rows)
-        shapes.append((lvl, (nodes, t, 2 ** (p.levels - lvl - 1), k_out, 2 * k)))
+        shapes.append((lvl, (nodes, 2 ** (p.levels - lvl - 1), t, k_out, 2 * k)))
         nodes, k = nodes * t, k_out
     return shapes + [(p.levels, (nodes, 1, 1, rows, k))]
+
+
+def _take(buf, shape) -> np.ndarray:
+    """``shape`` at the head of a factor method's flat complex128 ``out`` or
+    ``work`` buffer, or a fresh array without one: the same bits either way."""
+    if buf is None:
+        return np.empty(shape, dtype=np.complex128)
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -45,9 +55,11 @@ class TransferFactor:
     """One level of the recursive chain: k_out x 2k_in blocks merging pairs
     of sibling column groups.
 
-    ``blocks`` is (nodes, t, pairs, k_out, 2*k_in).  Input node i holds
-    ``pairs`` pairs of k_in-wide column groups; block [i, s, j] maps pair j
-    of node i to the rank-k_out group j of output node t*i + s.  With
+    ``blocks`` is (nodes, pairs, t, k_out, 2*k_in).  Input node i holds
+    ``pairs`` pairs of k_in-wide column groups; block [i, j, s] maps pair j
+    of node i to the rank-k_out group j of output node t*i + s.  Either
+    direction is one matmul: ``forward`` writes every product straight into
+    its output node, ``adjoint`` sums over s inside the matmul.  With
     t = pairs = 1 it is block diagonal: the leaf U or V, or the middle-level
     U or V before it is refactored.
     """
@@ -61,40 +73,41 @@ class TransferFactor:
 
     @property
     def shape(self):
-        nodes, t, pairs, k_out, two_k = self.blocks.shape
+        nodes, pairs, t, k_out, two_k = self.blocks.shape
         return (nodes * t * pairs * k_out, nodes * pairs * two_k)
 
     def dense(self) -> np.ndarray:
         return self.forward(np.eye(self.shape[1], dtype=complex))
 
-    def forward(self, w: np.ndarray) -> np.ndarray:
-        nodes, t, pairs, k_out, two_k = self.blocks.shape
-        win = w.reshape(nodes, 1, pairs, two_k, -1)
-        return (self.blocks @ win).reshape(nodes * t * pairs * k_out, -1)
+    def forward(self, w: np.ndarray, out=None) -> np.ndarray:
+        nodes, pairs, t, k_out, two_k = self.blocks.shape
+        nv = w.shape[-1]
+        res = _take(out, (nodes, t, pairs, k_out, nv))
+        np.matmul(self.blocks, w.reshape(nodes, pairs, 1, two_k, nv),
+                  out=res.swapaxes(1, 2))
+        return res.reshape(-1, nv)
 
-    def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """sum_s blocks[:, s]* @ w[:, s].
+    def adjoint(self, w: np.ndarray, out=None, work=None) -> np.ndarray:
+        """sum_s blocks[:, :, s]* @ w[:, s]: one matmul per pair on its t
+        input groups, gathered into ``work`` first, so ``out`` may hold ``w``.
 
         One vector is conjugated instead of the blocks, B* w =
         conj(B^T conj(w)), so a single-vector apply copies no factor; a
         wider block conjugates the factor once rather than every vector.
         """
-        nodes, t, pairs, k_out, two_k = self.blocks.shape
-        win = w.reshape(nodes, t, pairs, k_out, -1)
-        one = win.shape[-1] == 1
-        bt = self.blocks.swapaxes(-1, -2)
+        nodes, pairs, t, k_out, two_k = self.blocks.shape
+        nv = w.shape[-1]
+        one = nv == 1
+        win = w.reshape(nodes, t, pairs, k_out, nv).swapaxes(1, 2)
+        gathered = _take(work, win.shape)
+        gathered[...] = win.conj() if one else win
+        stack = self.blocks.reshape(nodes, pairs, t * k_out, two_k)
+        bt = (stack if one else stack.conj()).swapaxes(-1, -2)
+        res = _take(out, (nodes, pairs, two_k, nv))
+        np.matmul(bt, gathered.reshape(nodes, pairs, t * k_out, nv), out=res)
         if one:
-            win = win.conj()
-        else:
-            bt = bt.conj()
-        # Accumulate over t in place: materialising the t-times larger
-        # product and summing it made every block apply fault fresh pages.
-        out = bt[:, 0] @ win[:, 0]
-        for s in range(1, t):
-            out += bt[:, s] @ win[:, s]
-        if one:
-            np.conjugate(out, out=out)
-        return out.reshape(nodes * pairs * two_k, -1)
+            np.conjugate(res, out=res)
+        return res.reshape(-1, nv)
 
 
 @dataclass(frozen=True)
@@ -123,17 +136,17 @@ class MiddleFactor:
     def dense(self) -> np.ndarray:
         return self.forward(np.eye(self.shape[1], dtype=complex))
 
-    def forward(self, w: np.ndarray) -> np.ndarray:
-        m, r = self.m, self.rank
-        win = w.reshape(m, m, r, -1)
-        out = self.weights[..., None] * win.swapaxes(0, 1)
-        return out.reshape(m * m * r, -1)
+    def forward(self, w: np.ndarray, out=None) -> np.ndarray:
+        win = w.reshape(self.m, self.m, self.rank, -1)
+        res = _take(out, win.shape)
+        np.multiply(self.weights[..., None], win.swapaxes(0, 1), out=res)
+        return res.reshape(-1, win.shape[-1])
 
-    def adjoint(self, w: np.ndarray) -> np.ndarray:
-        m, r = self.m, self.rank
-        win = w.reshape(m, m, r, -1)
-        out = (self.weights[..., None] * win).swapaxes(0, 1)
-        return out.reshape(m * m * r, -1)
+    def adjoint(self, w: np.ndarray, out=None) -> np.ndarray:
+        win = w.reshape(self.m, self.m, self.rank, -1)
+        res = _take(out, win.shape)
+        np.multiply(self.weights[..., None], win, out=res.swapaxes(0, 1))
+        return res.reshape(-1, win.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -176,11 +189,18 @@ class ButterflyFactors:
             row = int(np.argmin(np.isfinite(w).all(axis=1)))
             raise ValueError(f"input row {row} holds NaN or inf")
         left, right = self.sides[::-1] if adjoint else self.sides
+        middle = self.middle.adjoint if adjoint else self.middle.forward
+        # Two buffers of the widest level: an adjoint gathers a into b and
+        # writes back over a, the middle and each forward write into the
+        # other one, and the last factor allocates the result.
+        size = w.shape[1] * max(max(f.shape) for f in (*left, *right, self.middle))
+        a, b = np.empty(size, np.complex128), np.empty(size, np.complex128)
         for tf in reversed(right):
-            w = tf.adjoint(w)
-        w = self.middle.adjoint(w) if adjoint else self.middle.forward(w)
-        for tf in left:
-            w = tf.forward(w)
+            w = tf.adjoint(w, out=a, work=b)
+        for op in (middle, *(tf.forward for tf in left[:-1])):
+            w = op(w, out=b)
+            a, b = b, a
+        w = left[-1].forward(w)
         return w[:, 0] if vec else w
 
     def dense(self, chunk: int = 512) -> np.ndarray:

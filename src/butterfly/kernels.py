@@ -33,8 +33,11 @@ class FioKernel:
     def block(self, rows, cols) -> np.ndarray:
         x = np.asarray(rows, dtype=float)[:, None] / self.n
         xi = np.asarray(cols, dtype=float)[None, :] - self.n / 2.0
-        phase = x * xi + _phase_speed(x) * np.abs(xi)
-        return np.exp(2j * np.pi * phase)
+        theta = 2 * np.pi * (x * xi + _phase_speed(x) * np.abs(xi))
+        out = np.empty(theta.shape, dtype=np.complex128)  # exp(1j * theta)
+        np.cos(theta, out=out.real)
+        np.sin(theta, out=out.imag)
+        return out
 
 
 class HankelKernel:

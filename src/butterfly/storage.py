@@ -93,15 +93,22 @@ class _Factor(NamedTuple):
         return (struct.calcsize(_FACTOR_HEADER)
                 + self.count * self.dtype.itemsize)
 
+    def blocks(self, payload: np.ndarray) -> np.ndarray:
+        """The (count, cols, rows) payload records as a view of the array."""
+        if self.kind == KIND_MIDDLE:
+            return payload.reshape(self.shape)
+        nodes, pairs, t, rows, cols = self.shape
+        return payload.reshape(nodes, t, pairs, cols, rows).transpose(0, 2, 1, 4, 3)
+
 
 def _layout(p: DyadicPartition, rank: int) -> list[_Factor]:
     """Every factor's records, in file order.
 
     A complex factor of grid (nodes, t, pairs) -- a leaf is (nodes, 1, 1) --
-    stores block [i, s, j] at row (its flat index) * rows and column
-    (i * pairs + j) * cols.  Middle block [i, j] sits at row (i*m + j) * rank
-    and column (j*m + i) * rank.  Every payload is a block transposed, i.e.
-    column-major; the middle weights read as a 1 x rank block.
+    stores block [i, s, j], array [i, j, s], at row (flat index) * rows and
+    column (i * pairs + j) * cols; middle block [i, j] at row (i*m + j) *
+    rank and column (j*m + i) * rank.  Every payload is a block transposed,
+    i.e. column-major; the middle weights read as a 1 x rank block.
     ``expected`` builds the offset columns only when called, so the header
     checks run before any array exists.
     """
@@ -115,8 +122,8 @@ def _layout(p: DyadicPartition, rank: int) -> list[_Factor]:
         return _Factor(kind, level, count, dtype, shape, expected)
 
     def blocks(level, shape, kind, leaf_kind):
-        grid = nodes, t, pairs = shape[:3]
-        rows, cols = shape[-2:]
+        nodes, pairs, t, rows, cols = shape
+        grid = nodes, t, pairs
 
         def expected():
             col = np.arange(nodes * pairs, dtype=np.uint64).reshape(nodes, 1, pairs)
@@ -166,8 +173,7 @@ def save_factors(f: ButterflyFactors, path) -> None:
         records = data[first:start].view(sec.dtype)
         for name, column in zip(_BLOCK_FIELDS, sec.expected()):
             records[name] = column
-        block = sec.dtype["payload"].shape[::-1]
-        records["payload"] = array.reshape(sec.count, *block).swapaxes(-1, -2)
+        sec.blocks(records["payload"])[...] = array
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -210,13 +216,12 @@ def _read_factor(rd: _Reader, sec: _Factor):
         raise FormatError(f"block {b} of factor kind {sec.kind}: header "
                           f"(row_off, col_off, rows, cols) {got}, expected "
                           f"{want}", first + b * sec.dtype.itemsize)
-    array = np.ascontiguousarray(records["payload"].swapaxes(-1, -2))
-    finite = np.isfinite(array.reshape(sec.count, -1)).all(axis=1)
-    if not finite.all():
+    array = np.ascontiguousarray(sec.blocks(records["payload"]))
+    if not np.isfinite(array).all():
+        finite = np.isfinite(records["payload"]).reshape(sec.count, -1).all(1)
         b = int(np.argmin(finite))
         raise FormatError(f"block {b} of factor kind {sec.kind} holds NaN or "
                           f"inf", first + b * sec.dtype.itemsize)
-    array = array.reshape(sec.shape)
     if sec.kind == KIND_MIDDLE:
         return MiddleFactor(array)
     return TransferFactor(sec.level, array)

@@ -437,7 +437,7 @@ def test_every_sparse_factor_follows_chain_geometry(mode):
     oracle = DenseOracle(dense_matrix(FioKernel(n), n))
     f = factorize(oracle, p, r, seed=0, mode=mode)
     geometry = chain_geometry(p, r)
-    leaf_level, (_, t, pairs, _, _) = geometry[-1]
+    leaf_level, (_, pairs, t, _, _) = geometry[-1]
     assert (leaf_level, t, pairs) == (p.levels, 1, 1)
     for side in ((*f.g_chain, f.u_outer), (*f.h_chain, f.v_outer)):
         assert all(isinstance(tf, TransferFactor) for tf in side)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,12 +120,12 @@ def test_dense_places_blocks_at_their_offsets(rng):
     # the leaf, last on the side, is the block-diagonal t = pairs = 1 case
     f = random_exact_chain(make_partition(64, 0.25), 3, rng)
     for tf in f.sides[0]:
-        nodes, t, pairs, k_out, two_k = tf.blocks.shape
+        nodes, pairs, t, k_out, two_k = tf.blocks.shape
         want = np.zeros(tf.shape, dtype=complex)
         for i, s, j in np.ndindex(nodes, t, pairs):
             r0 = ((i * t + s) * pairs + j) * k_out
             c0 = (i * pairs + j) * two_k
-            want[r0:r0 + k_out, c0:c0 + two_k] = tf.blocks[i, s, j]
+            want[r0:r0 + k_out, c0:c0 + two_k] = tf.blocks[i, j, s]
         assert np.array_equal(tf.dense(), want)
     m, r = f.middle.m, f.middle.rank
     want = np.zeros(f.middle.shape, dtype=complex)
@@ -145,3 +147,52 @@ def test_one_vector_adjoint_matches_block_path(rng):
         wide = fac.adjoint(w)[:, :1]
         assert one.shape == wide.shape
         assert np.linalg.norm(one - wide) <= 1e-14 * np.linalg.norm(wide)
+
+
+@pytest.mark.parametrize("width", [1, 64])
+def test_factor_by_factor_chain_equals_apply_bitwise(rng, width):
+    # every factor called on its own, without work buffers, in the order
+    # apply uses them; t = 2 levels with pairs > 1 take the one-matmul paths
+    n = 256
+    f = factorize(FioKernel(n), make_partition(n, 0.25), 4, seed=0)
+    assert any(pairs > 1 and t == 2
+               for _, pairs, t, _, _ in (tf.blocks.shape for tf in f.g_chain))
+    g = complex_gaussian(rng, (n, width))
+    left, right = f.sides
+    for apply, first, middle, last in (
+            (f.apply, left, f.middle.forward, right),
+            (f.apply_adjoint, right, f.middle.adjoint, left)):
+        w = g
+        for tf in reversed(last):
+            w = tf.adjoint(w)
+        w = middle(w)
+        for tf in first:
+            w = tf.forward(w)
+        assert np.array_equal(w, apply(g))
+
+
+def test_block_apply_peak_and_no_aliasing(rng):
+    # two work buffers as long as the widest level; the 64-vector apply read
+    # 3.25 times the widest level (109.1 MB) when every level allocated
+    n, width = 1024, 64
+    f = factorize(FioKernel(n), make_partition(n, 0.25), 8, seed=0)
+    widest = 16 * width * f.middle.shape[0]  # no level is wider
+    g = complex_gaussian(rng, (n, width))
+    kept = g.copy()
+    outs = []
+    for apply in (f.apply, f.apply_adjoint):
+        tracemalloc.start()
+        try:
+            outs.append(apply(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * widest
+    copies = [out.copy() for out in outs]
+    f.apply(g[:, ::-1])
+    f.apply_adjoint(g[:, ::-1])
+    assert np.array_equal(g, kept)
+    for out, copy in zip(outs, copies):
+        assert out.shape == (n, width) and not np.shares_memory(out, g)
+        assert np.array_equal(out, copy)
+    assert not np.shares_memory(*outs)

@@ -33,6 +33,19 @@ def test_fio_entry_hand_values():
     assert block[0, 1] == pytest.approx(-1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [512, 1024])
+def test_fio_block_matches_complex_exponential(n):
+    # filled from cos and sin of the real phase; equality to the last bit
+    # depends on libm, so agreement is checked to 1e-15
+    x = np.arange(n, dtype=float)[:, None] / n
+    xi = np.arange(n, dtype=float)[None, :] - n / 2.0
+    c = (2.0 + np.sin(2.0 * np.pi * x)) / 8.0
+    want = np.exp(2j * np.pi * (x * xi + c * np.abs(xi)))
+    got = FioKernel(n).block(np.arange(n), np.arange(n))
+    assert got.dtype == np.complex128 and got.shape == (n, n)
+    assert np.abs(got - want).max() <= 1e-15
+
+
 def test_fio_unimodular(rng):
     n = 1024
     ker = FioKernel(n)

@@ -137,7 +137,8 @@ GOLDEN_SHA256 = \
 
 def arange_chain(p, rank):
     """Chain with every array filled from a running arange: deterministic
-    bytes without any LAPACK call."""
+    bytes without any LAPACK call.  Transfer blocks are numbered in file
+    order, block [i, s, j], and held as the array's [i, j, s]."""
     *shapes, (leaf, leaf_shape) = chain_geometry(p, rank)
     start = 0
 
@@ -148,8 +149,9 @@ def arange_chain(p, rank):
         return k.reshape(shape)
 
     def cplx(shape):
-        k = values(shape)
-        return (k + 0.5) / 3.0 - 1j * k / 7.0
+        nodes, pairs, t, rows, cols = shape
+        k = values((nodes, t, pairs, rows, cols)).swapaxes(1, 2)
+        return np.ascontiguousarray((k + 0.5) / 3.0 - 1j * k / 7.0)
 
     u = TransferFactor(leaf, cplx(leaf_shape))
     g = tuple(TransferFactor(lvl, cplx(shape)) for lvl, shape in shapes)
