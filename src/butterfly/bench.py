@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,12 @@ def derive_seed(seed: int, *key) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
+def eps_rng(seed: int, row: int) -> np.random.Generator:
+    """Generator of the eps_a sample of bench row ``row`` (verify: row 0)."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(_EPS_DOMAIN, row)))
+
+
 class RowSampledReference:
     """Direct row sums of an entry oracle, evaluated at sampled rows only."""
 
@@ -47,9 +53,9 @@ class RowSampledReference:
         n = self.entry.shape[1]
         return self.entry.block(sample, np.arange(n)) @ g
 
-    def matvec_time(self, g: np.ndarray, chunk: int = 256) -> float:
-        """One full direct matvec, entries made on the fly in row chunks."""
-        n = self.entry.shape[1]
+    def matvec_time(self, g: np.ndarray) -> float:
+        """One full direct matvec, entries made on the fly 256 rows at a time."""
+        n, chunk = self.entry.shape[1], 256
         cols = np.arange(n)
         out = np.empty(n, dtype=np.complex128)
         start = time.perf_counter()
@@ -68,7 +74,7 @@ class OperatorReference:
     def rows(self, g: np.ndarray, sample: np.ndarray) -> np.ndarray:
         return self.op.apply(g)[sample]
 
-    def matvec_time(self, g: np.ndarray, chunk: int = 256) -> float:
+    def matvec_time(self, g: np.ndarray) -> float:
         start = time.perf_counter()
         self.op.apply(g)
         return time.perf_counter() - start
@@ -91,6 +97,8 @@ def estimate_eps_a(f: ButterflyFactors, reference, sample_count: int,
 
 def estimate_eps_a_info(f: ButterflyFactors, reference, sample_count: int,
                         rng):
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     rng = np.random.default_rng(rng)
     n = f.n
     sample = np.sort(rng.choice(n, size=min(sample_count, n), replace=False))
@@ -107,14 +115,11 @@ class BenchConfig:
     mode: str = "sampling"
     seed: int = 0
     sample_count: int = 256
-    output_format: str = "json"
     target_leaf: float = DEFAULT_LEAF
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; pick from {KERNELS}")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.output_format!r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
 
@@ -134,35 +139,20 @@ class BenchRow:
     eps_absolute_fallback: bool = False
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "r": self.r, "eps_a": self.eps_a,
-            "t_factor_s": self.t_factor_s, "t_dense_s": self.t_dense_s,
-            "t_apply_s": self.t_apply_s, "speedup": self.speedup,
-            "nnz_total": self.nnz_total, "seed": self.seed,
-            "samples_clamped": self.samples_clamped,
-            "eps_absolute_fallback": self.eps_absolute_fallback,
-            "error": self.error,
-        }
-
 
 @dataclass
 class BenchReport:
-    config: BenchConfig
     rows: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps([row.to_dict() for row in self.rows], indent=2)
+        return json.dumps([asdict(row) for row in self.rows], indent=2)
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            d = row.to_dict()
+            d = asdict(row)
             lines.append(",".join(_csv_cell(d[c]) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
-
-    def render(self) -> str:
-        return self.to_csv() if self.config.output_format == "csv" else self.to_json()
 
 
 def _csv_cell(value) -> str:
@@ -171,23 +161,23 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def build_operator(kernel: str, n: int, r: int, cfg: BenchConfig):
-    """(partition, oracle, reference, effective mode) for one bench row."""
-    p = make_partition(n, cfg.target_leaf)
-    if kernel == "fio":
-        entry = FioKernel(n)
-        return p, entry, RowSampledReference(entry), cfg.mode
-    if kernel == "hankel":
-        entry = HankelKernel(n)
-        return p, entry, RowSampledReference(entry), cfg.mode
+def build_operator(kernel: str, n: int, r: int, leaf: float, mode: str,
+                   seed: int):
+    """(partition, oracle, reference, effective mode) of one problem."""
+    p = make_partition(n, leaf)
+    if kernel in ("fio", "hankel"):
+        entry = (FioKernel if kernel == "fio" else HankelKernel)(n)
+        return p, entry, RowSampledReference(entry), mode
+    if kernel != "composition":
+        raise ValueError(f"unknown kernel {kernel!r}; pick from {KERNELS}")
     inner = factorize(FioKernel(n), p, r,
-                      seed=derive_seed(cfg.seed, _INNER_DOMAIN), mode="sampling")
+                      seed=derive_seed(seed, _INNER_DOMAIN), mode="sampling")
     composed = ComposedOperator(inner)
     return p, composed, OperatorReference(composed), "matvec"
 
 
 def run_bench(cfg: BenchConfig) -> BenchReport:
-    report = BenchReport(cfg)
+    report = BenchReport()
     for idx, (n, r) in enumerate((n, r) for n in cfg.n_list
                                  for r in cfg.rank_list):
         row = BenchRow(n=n, r=r, seed=cfg.seed,
@@ -201,13 +191,13 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
 
 
 def _run_row(cfg: BenchConfig, idx: int, row: BenchRow) -> None:
-    p, oracle, reference, mode = build_operator(cfg.kernel, row.n, row.r, cfg)
+    p, oracle, reference, mode = build_operator(
+        cfg.kernel, row.n, row.r, cfg.target_leaf, cfg.mode, cfg.seed)
     start = time.perf_counter()
     factors = factorize(oracle, p, row.r, seed=cfg.seed, mode=mode)
     row.t_factor_s = time.perf_counter() - start
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(_EPS_DOMAIN, idx)))
+    rng = eps_rng(cfg.seed, idx)
     row.eps_a, row.eps_absolute_fallback = estimate_eps_a_info(
         factors, reference, cfg.sample_count, rng)
 

@@ -10,12 +10,10 @@ import sys
 
 import numpy as np
 
-from .bench import (DEFAULT_LEAF, BenchConfig, OperatorReference,
-                    RowSampledReference, build_operator, estimate_eps_a,
-                    run_bench)
+from .bench import (DEFAULT_LEAF, KERNELS, BenchConfig, build_operator,
+                    estimate_eps_a, eps_rng, run_bench)
 from .construct import factorize
-from .kernels import DENSE_CAP, dense_matrix
-from .partition import make_partition
+from .kernels import DENSE_CAP, FioKernel, dense_matrix, dft_apply
 from .storage import load_factors, read_vector, save_factors, write_vector
 
 EXIT_OK = 0
@@ -30,18 +28,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_problem_args(sub, with_out: bool):
-    sub.add_argument("--kernel", required=True,
-                     choices=("fio", "hankel", "composition"))
-    sub.add_argument("--n", required=True, type=int)
-    sub.add_argument("--rank", required=True, type=int)
+def int_list(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(",") if v)
+
+
+def _add_problem_args(sub, lists: bool = False):
+    """Flags of one problem: --n and --rank, or bench's --n-list/--rank-list."""
+    sub.add_argument("--kernel", required=True, choices=KERNELS)
+    size, kind = ("-list", int_list) if lists else ("", int)
+    for flag in ("--n", "--rank"):
+        sub.add_argument(flag + size, required=True, type=kind,
+                         help="comma separated" if lists else None)
     sub.add_argument("--mode", default="sampling",
                      choices=("sampling", "matvec", "streaming"))
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--leaf", type=float, default=DEFAULT_LEAF,
                      help="target leaf size of the dyadic trees")
-    if with_out:
-        sub.add_argument("--out", required=True)
 
 
 def build_parser() -> _Parser:
@@ -51,7 +53,8 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     factor = subs.add_parser("factor", help="build and save a factorization")
-    _add_problem_args(factor, with_out=True)
+    _add_problem_args(factor)
+    factor.add_argument("--out", required=True)
 
     apply_p = subs.add_parser("apply", help="apply saved factors to a vector")
     apply_p.add_argument("--factors", required=True)
@@ -60,24 +63,15 @@ def build_parser() -> _Parser:
     apply_p.add_argument("--adjoint", action="store_true")
 
     bench = subs.add_parser("bench", help="accuracy/timing table")
-    bench.add_argument("--kernel", required=True,
-                       choices=("fio", "hankel", "composition"))
-    bench.add_argument("--n-list", required=True,
-                       help="comma separated matrix sizes")
-    bench.add_argument("--rank-list", required=True,
-                       help="comma separated ranks")
-    bench.add_argument("--mode", default="sampling",
-                       choices=("sampling", "matvec", "streaming"))
-    bench.add_argument("--seed", type=int, default=0)
+    _add_problem_args(bench, lists=True)
     bench.add_argument("--samples", type=int, default=256)
     bench.add_argument("--format", default="json", choices=("json", "csv"))
-    bench.add_argument("--leaf", type=float, default=DEFAULT_LEAF)
     bench.add_argument("--out", default=None,
                        help="report file (stdout when omitted)")
 
     verify = subs.add_parser("verify",
                              help="dense comparison of a fresh factorization")
-    _add_problem_args(verify, with_out=False)
+    _add_problem_args(verify)
     verify.add_argument("--samples", type=int, default=256)
     verify.add_argument("--tol", type=float, default=None,
                         help="exit 2 when eps_a exceeds this bound")
@@ -85,11 +79,8 @@ def build_parser() -> _Parser:
 
 
 def _build(args):
-    cfg = BenchConfig(kernel=args.kernel, n_list=(args.n,),
-                      rank_list=(args.rank,), mode=args.mode, seed=args.seed,
-                      target_leaf=args.leaf)
-    p, oracle, reference, mode = build_operator(args.kernel, args.n,
-                                                args.rank, cfg)
+    p, oracle, reference, mode = build_operator(
+        args.kernel, args.n, args.rank, args.leaf, args.mode, args.seed)
     factors = factorize(oracle, p, args.rank, seed=args.seed, mode=mode)
     return factors, oracle, reference
 
@@ -112,14 +103,11 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = BenchConfig(
-        kernel=args.kernel,
-        n_list=tuple(int(v) for v in args.n_list.split(",") if v),
-        rank_list=tuple(int(v) for v in args.rank_list.split(",") if v),
+    report = run_bench(BenchConfig(
+        kernel=args.kernel, n_list=args.n_list, rank_list=args.rank_list,
         mode=args.mode, seed=args.seed, sample_count=args.samples,
-        output_format=args.format, target_leaf=args.leaf)
-    report = run_bench(cfg)
-    text = report.render()
+        target_leaf=args.leaf))
+    text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -140,21 +128,19 @@ def _cmd_verify(args) -> int:
     factors, oracle, reference = _build(args)
     approx = factors.dense()
     true_dense = None
-    if isinstance(reference, RowSampledReference):
+    if args.kernel != "composition":
         dense = dense_matrix(oracle, args.n)
     else:
         # reference protocol compares against the fast chain; report the
         # truly dense composition too while it is still materializable
         dense = reference.op.apply(np.eye(args.n, dtype=np.complex128))
         if args.n <= 1024:
-            from .kernels import FioKernel, dft_apply
             k = dense_matrix(FioKernel(args.n), args.n)
             true_dense = k @ dft_apply(args.n, k)
     frob = (np.linalg.norm(dense - approx)
             / max(np.linalg.norm(dense), np.finfo(float).tiny))
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed,
-                                                       spawn_key=(4, 0)))
-    eps = estimate_eps_a(factors, reference, args.samples, rng)
+    eps = estimate_eps_a(factors, reference, args.samples,
+                         eps_rng(args.seed, 0))
     print(f"frobenius_rel_error={frob:.6e}")
     print(f"eps_a={eps:.6e}")
     if true_dense is not None:

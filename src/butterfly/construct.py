@@ -127,14 +127,13 @@ def _entry_line(entry, p, r, seed, k, column=False,
     return LowRankApprox(*((v0, sigma0, u0) if column else (u0, sigma0, v0)))
 
 
-def _place_line(apx: LowRankApprox, u_row=None, v_col=None, w_row=None):
+def _place_line(apx: LowRankApprox, u_row, v_col=None, w_row=None):
     """Write the stacked triples of one block row i, block (i, j) going to
     ``u[i, :, j, :]``, ``v[j, :, i, :]`` and ``w[i, j]``; the arguments
-    are the views ``u[i]``, ``v[:, :, i]`` and ``w[i]`` (any may be left out).
+    are the views ``u[i]``, ``v[:, :, i]`` and ``w[i]`` (the last two optional).
     """
     scaled = apx.sigma0[:, None, :]
-    if u_row is not None:
-        u_row[...] = (apx.u0 * scaled).swapaxes(0, 1)
+    u_row[...] = (apx.u0 * scaled).swapaxes(0, 1)
     if v_col is not None:
         v_col[...] = apx.v0 * scaled
     if w_row is not None:
@@ -161,7 +160,8 @@ def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
                                 for i in range(m)))
 
 
-def _apply_chunked(apply_fn, block: np.ndarray, chunk: int = 128) -> np.ndarray:
+def _apply_chunked(apply_fn, block: np.ndarray) -> np.ndarray:
+    chunk = 128  # probe columns per operator application
     if block.shape[1] <= chunk:
         return apply_fn(block)
     return np.concatenate([apply_fn(block[:, c:c + chunk])

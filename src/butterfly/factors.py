@@ -15,7 +15,7 @@ min(r, rows per node), so the arrays hold no zero padding;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,9 +203,9 @@ class ButterflyFactors:
         w = left[-1].forward(w)
         return w[:, 0] if vec else w
 
-    def dense(self, chunk: int = 512) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """Materialize the factored operator (tests and verify only)."""
-        n = self.n
+        n, chunk = self.n, 512
         out = np.empty((n, n), dtype=np.complex128)
         eye = np.eye(n, dtype=np.complex128)
         for c0 in range(0, n, chunk):
@@ -227,10 +227,10 @@ class NnzReport:
     """Stored-entry counts per factor of one chain."""
 
     u_outer: int
-    g: dict = field(default_factory=dict)
-    middle: int = 0
-    h: dict = field(default_factory=dict)
-    v_outer: int = 0
+    g: dict
+    middle: int
+    h: dict
+    v_outer: int
 
     @property
     def total(self) -> int:

@@ -75,10 +75,10 @@ def dft_apply(n: int, g: np.ndarray, direction: str = "forward") -> np.ndarray:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def dense_matrix(entry, n: int, max_n: int = DENSE_CAP) -> np.ndarray:
+def dense_matrix(entry, n: int) -> np.ndarray:
     """Full enumeration of an entry oracle (brute-force reference)."""
-    if n > max_n:
-        raise ValueError(f"dense enumeration capped at {max_n}, asked for {n}")
+    if n > DENSE_CAP:
+        raise ValueError(f"dense enumeration capped at {DENSE_CAP}, asked for {n}")
     idx = np.arange(n)
     return entry.block(idx, idx)
 

@@ -135,16 +135,16 @@ def select_pivot_columns(a: np.ndarray, k: int, rel_tol: float = 0.0) -> list[in
     return pivots
 
 
-def orthonormal_columns(a: np.ndarray, k: int, rel_tol: float = 0.0) -> np.ndarray:
+def orthonormal_columns(a: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal basis for the first k pivot columns of ``a``.
 
     Rank-deficient input yields fewer columns: the honest numerical rank up
-    to ``rel_tol``.
+    to ``BASIS_TRIM``.
     """
     m = a.shape[0]
     if k > m:
         raise ValueError(f"cannot build {k} orthonormal columns in dimension {m}")
-    q, _ = np.linalg.qr(a[:, select_pivot_columns(a, k, rel_tol)])
+    q, _ = np.linalg.qr(a[:, select_pivot_columns(a, k, BASIS_TRIM)])
     return q
 
 
@@ -193,7 +193,7 @@ def sketched_svd(z: np.ndarray, r: int, omega: np.ndarray) -> LowRankApprox:
     return _assemble(mid, q_col, q_row, r)
 
 
-def randomized_svd(apply_op, m, n, r, rng=None) -> LowRankApprox:
+def randomized_svd(apply_op, m, n, r, rng) -> LowRankApprox:
     """Probe-based rank-r SVD of a black-box operator.
 
     ``apply_op(x, adjoint)`` must return ``Z @ x`` (or ``Z* @ x`` when
@@ -235,7 +235,7 @@ def svd_from_probes(y_col, y_row, r_row, r) -> LowRankApprox:
     return _assemble(mid, q_col, q_row, r)
 
 
-def randomized_sampling_svd(entry, m, n, r, rng=None) -> LowRankApprox:
+def randomized_sampling_svd(entry, m, n, r, rng) -> LowRankApprox:
     """Rank-r SVD from sampled rows and columns of an entry oracle.
 
     ``entry(rows, cols)`` returns the dense submatrix on the given index
@@ -263,10 +263,9 @@ def randomized_sampling_svd(entry, m, n, r, rng=None) -> LowRankApprox:
     rows = _draw(rng, m, rq, pi_row)
     cols = _draw(rng, n, rq, pi_col)
     width = max(r, min(rows.size, cols.size) - r)
-    q_col = orthonormal_columns(entry(np.arange(m), cols), min(width, m),
-                                rel_tol=BASIS_TRIM)
+    q_col = orthonormal_columns(entry(np.arange(m), cols), min(width, m))
     q_row = orthonormal_columns(entry(rows, np.arange(n)).conj().T,
-                                min(width, n), rel_tol=BASIS_TRIM)
+                                min(width, n))
     mid = pinv_floored(q_col[rows, :]) @ entry(rows, cols) @ pinv_floored(q_row[cols, :].conj().T)
     return _assemble(mid, q_col, q_row, r)
 

@@ -12,6 +12,7 @@ column node ``j`` at level ``levels - lvl``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -72,8 +73,12 @@ def make_partition(n, target_leaf) -> DyadicPartition:
     ``log2(n) + 2`` trees used for the reference accuracy experiments, while
     integer targets keep every leaf at one index or more.
     """
-    if not isinstance(n, int) or n < 4 or n & (n - 1):
-        lo = max(4, 2 ** max(2, (int(n).bit_length() - 1)))
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if n < 4 or n & (n - 1):
+        lo = 2 ** max(2, n.bit_length() - 1)
         raise ValueError(
             f"n={n} admits no dyadic decomposition; nearest admissible sizes "
             f"are powers of two such as {lo} and {2 * lo}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,8 @@ import pytest
 
 from butterfly import (FioKernel, OperatorReference, RowSampledReference,
                        estimate_eps_a, factorize, make_partition, run_bench)
-from butterfly.bench import BenchConfig, sampled_relative_error
+from butterfly.bench import (BenchConfig, BenchRow, build_operator,
+                             sampled_relative_error)
 
 from conftest import complex_gaussian
 
@@ -47,6 +49,14 @@ def test_eps_against_sampled_rows(factors, rng):
     ref = RowSampledReference(FioKernel(256))
     eps = estimate_eps_a(factors, ref, 256, rng)
     assert eps <= 1e-3
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_eps_rejects_an_empty_sample(factors, count):
+    # an empty sample would read as eps_a = 0 and pass any tolerance
+    with pytest.raises(ValueError, match="at least 1"):
+        estimate_eps_a(factors, OperatorReference(factors), count,
+                       np.random.default_rng(0))
 
 
 def test_run_bench_single_row():
@@ -92,14 +102,22 @@ def test_report_numeric_fields_deterministic():
 
 
 def test_report_formats():
-    cfg = BenchConfig(kernel="fio", n_list=(64,), rank_list=(2,), seed=0,
-                      output_format="csv")
+    cfg = BenchConfig(kernel="fio", n_list=(64,), rank_list=(2,), seed=0)
     report = run_bench(cfg)
     csv = report.to_csv()
     assert csv.splitlines()[0] == \
         "n,r,eps_a,t_factor_s,t_dense_s,t_apply_s,speedup,nnz_total"
     payload = json.loads(report.to_json())
     assert payload[0]["n"] == 64 and "seed" in payload[0]
+
+
+def test_json_keys_follow_row_fields():
+    report = run_bench(BenchConfig(kernel="fio", n_list=(64, 128),
+                                   rank_list=(3,), seed=2))
+    fields = [f.name for f in dataclasses.fields(BenchRow)]
+    assert fields[:3] == ["n", "r", "eps_a"] and fields[-1] == "error"
+    for row in json.loads(report.to_json()):
+        assert list(row) == fields
 
 
 def test_composition_rows_use_the_fast_chain_reference():
@@ -116,4 +134,6 @@ def test_bench_config_validation():
         BenchConfig(kernel="nope", n_list=(64,), rank_list=(2,))
     with pytest.raises(ValueError):
         BenchConfig(kernel="fio", n_list=(64,), rank_list=(2,),
-                    output_format="xml")
+                    sample_count=0)
+    with pytest.raises(ValueError, match="unknown kernel"):
+        build_operator("nope", 64, 2, 0.25, "sampling", 0)

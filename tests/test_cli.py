@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,27 @@ def test_verify_rejects_oversized_problem():
     assert run("verify", "--kernel", "fio", "--n", "8192", "--rank", "4") == 1
 
 
+def test_verify_rejects_an_empty_sample(capsys):
+    # with no sampled rows eps_a would read 0 and pass any --tol
+    assert run("verify", "--kernel", "fio", "--n", "64", "--rank", "2",
+               "--samples", "0", "--tol", "1e-30") == 1
+    captured = capsys.readouterr()
+    assert "eps_a" not in captured.out
+    assert "sample_count must be at least 1" in captured.err
+
+
+def test_verify_and_bench_row_zero_share_eps(capsys):
+    problem = ("--kernel", "fio", "--rank", "4", "--seed", "3",
+               "--samples", "64")
+    assert run("verify", "--n", "128", *problem) == 0
+    out = capsys.readouterr().out
+    verify_eps = dict(line.split("=") for line in out.strip().splitlines())
+    assert run("bench", "--n-list", "128", "--rank-list", "4", *problem) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["error"] is None
+    assert verify_eps["eps_a"] == f"{row['eps_a']:.6e}"
+
+
 def test_verify_composition_reports_true_dense_error(capsys):
     assert run("verify", "--kernel", "composition", "--n", "256", "--rank",
                "12", "--mode", "matvec", "--leaf", "1") == 0
@@ -106,6 +129,18 @@ def test_bench_json_to_stdout(capsys):
                "--rank-list", "2", "--samples", "32") == 0
     out = capsys.readouterr().out
     assert '"eps_a"' in out
+
+
+def test_bench_unknown_format_is_usage_error(capsys):
+    assert run("bench", "--kernel", "fio", "--n-list", "64",
+               "--rank-list", "2", "--format", "xml") == 1
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+
+def test_bench_size_lists_are_parsed_by_argparse(capsys):
+    assert run("bench", "--kernel", "fio", "--n-list", "64,x",
+               "--rank-list", "2") == 1
+    assert "argument --n-list" in capsys.readouterr().err
 
 
 @pytest.mark.slow

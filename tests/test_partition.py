@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from butterfly import DyadicPartition, make_partition
@@ -30,6 +31,17 @@ def test_make_partition_fractional_leaf_goes_past_single_indices():
 def test_make_partition_rejects_non_powers_of_two(bad):
     with pytest.raises(ValueError):
         make_partition(bad, 2)
+
+
+def test_make_partition_takes_numpy_integers():
+    p = make_partition(np.int64(1024), 0.25)
+    assert p == make_partition(1024, 0.25) and type(p.n) is int
+
+
+@pytest.mark.parametrize("bad", [1024.0, np.float64(64), "64"])
+def test_make_partition_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        make_partition(bad, 0.25)
 
 
 def test_block_ranges_formula():
