@@ -95,10 +95,17 @@ def estimate_eps_a(f: ButterflyFactors, reference, sample_count: int,
     return value
 
 
+def check_sample_count(count: int) -> int:
+    """``count`` if eps_a can be estimated from that many rows; with none
+    it would read 0 and pass any bound."""
+    if count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {count}")
+    return count
+
+
 def estimate_eps_a_info(f: ButterflyFactors, reference, sample_count: int,
                         rng):
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
+    check_sample_count(sample_count)
     rng = np.random.default_rng(rng)
     n = f.n
     sample = np.sort(rng.choice(n, size=min(sample_count, n), replace=False))
@@ -120,8 +127,10 @@ class BenchConfig:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; pick from {KERNELS}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
+        if not self.n_list or not self.rank_list:
+            raise ValueError("n_list and rank_list must not be empty, got "
+                             f"{self.n_list!r} and {self.rank_list!r}")
+        check_sample_count(self.sample_count)
 
 
 @dataclass

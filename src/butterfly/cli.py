@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .bench import (DEFAULT_LEAF, KERNELS, BenchConfig, build_operator,
-                    estimate_eps_a, eps_rng, run_bench)
+                    check_sample_count, estimate_eps_a, eps_rng, run_bench)
 from .construct import factorize
 from .kernels import DENSE_CAP, FioKernel, dense_matrix, dft_apply
 from .storage import load_factors, read_vector, save_factors, write_vector
@@ -29,7 +29,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v)
+    """Comma separated integers; an empty item or list is an error."""
+    items = text.split(",")
+    if not all(item.strip() for item in items):
+        raise argparse.ArgumentTypeError(f"empty item in {text!r}")
+    return tuple(int(v) for v in items)
+
+
+def sample_count(text: str) -> int:
+    """--samples, checked while the arguments are parsed, before any work."""
+    try:
+        return check_sample_count(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_problem_args(sub, lists: bool = False):
@@ -64,7 +76,7 @@ def build_parser() -> _Parser:
 
     bench = subs.add_parser("bench", help="accuracy/timing table")
     _add_problem_args(bench, lists=True)
-    bench.add_argument("--samples", type=int, default=256)
+    bench.add_argument("--samples", type=sample_count, default=256)
     bench.add_argument("--format", default="json", choices=("json", "csv"))
     bench.add_argument("--out", default=None,
                        help="report file (stdout when omitted)")
@@ -72,7 +84,7 @@ def build_parser() -> _Parser:
     verify = subs.add_parser("verify",
                              help="dense comparison of a fresh factorization")
     _add_problem_args(verify)
-    verify.add_argument("--samples", type=int, default=256)
+    verify.add_argument("--samples", type=sample_count, default=256)
     verify.add_argument("--tol", type=float, default=None,
                         help="exit 2 when eps_a exceeds this bound")
     return parser

@@ -19,13 +19,32 @@ rank-r triples, and one assembler places every line whatever the mode.
 Stage two recursively refactors the left and right factors level by level,
 splitting rows and merging sibling column groups, until the leaf level.
 
+Each public stage function runs its pure linear algebra on a thread pool
+that it creates and joins itself: one thread per CPU the process may run
+on when BLAS is limited to one thread, fewer when each BLAS call may
+already use several CPUs (see :func:`_worker_count`).  Oracles are called
+only from the calling thread, in a fixed order: the caller reads each block
+line (and checks it for non-finite values) while at most one line per
+worker is compressed and placed in the pool, and the refactoring, which
+reads no oracle, runs groups of middle nodes side by side.  Every unit of
+work is computed as it would be alone, and a slice of a stacked LAPACK call
+equals the call on that slice, so the factors are bit-identical for any
+CPU count.
+
 Randomness is derived per block from the master seed (spawn keys carry the
 block coordinates), so results are independent of the schedule: the
 streaming mode rebuilds one diagonal block at a time with O(n log n) peak
-memory and produces bit-identical factors.
+memory and produces bit-identical factors.  It stays serial on purpose: it
+compresses each block as soon as it is read, and lines in flight on a pool
+would raise the peak it exists to keep.
 """
 
 from __future__ import annotations
+
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +60,19 @@ _SAMPLING_DOMAIN = 0
 _COL_PROBE_DOMAIN = 1
 _ROW_PROBE_DOMAIN = 2
 _SKETCH_DOMAIN = 3
+
+#: Where BLAS libraries read their thread count, their own names before
+#: OpenMP's, as OpenBLAS and MKL read them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+#: Groups of middle nodes the refactoring cuts a side into per worker.
+#: More groups than workers keep fewer of a side's temporaries alive at
+#: once (fio-ref on a 2-core host: recursive_factor_u peaks at 26.6 MB
+#: whole, 18.6 MB at 4 groups per worker, at the same speed), and each
+#: group still stacks enough nodes that its SVD calls outweigh dispatch.
+_GROUPS_PER_WORKER = 4
 
 
 def block_rng(seed, *key) -> np.random.Generator:
@@ -79,9 +111,9 @@ def _sample_block(entry, p, r, seed, i, j):
         raise OracleError(f"entry oracle failed on middle block ({i}, {j})") from exc
 
 
-def _dense_part(entry, p, r, seed, k, others, column):
-    """Stacked rank-r triples of the blocks ``others`` (a range) of block
-    row k, or of block column k with ``column``, read in one call."""
+def _read_dense(entry, p, k, others, column):
+    """Blocks ``others`` (a range) of block row k, or of block column k with
+    ``column``, read in one oracle call and checked: (block ids, stack)."""
     side = p.mid_side
     ids = [(other, k) if column else (k, other) for other in others]
     node = np.asarray(p.node_range(p.half, k))
@@ -96,6 +128,12 @@ def _dense_part(entry, p, r, seed, k, others, column):
     finite = np.isfinite(blocks).all(axis=(1, 2))
     if not finite.all():
         raise _non_finite("entry oracle", *ids[int(np.argmin(finite))])
+    return ids, blocks
+
+
+def _compress_dense(ids, blocks, r, seed) -> LowRankApprox:
+    """Stacked rank-r triples of the blocks read by :func:`_read_dense`."""
+    side = blocks.shape[-1]
     width = r + PROBE_OVERSAMPLING
     if width > side // 2:
         return truncated_svd(blocks, r)
@@ -104,19 +142,31 @@ def _dense_part(entry, p, r, seed, k, others, column):
     return sketched_svd(blocks, r, np.stack(omega))
 
 
-def _entry_line(entry, p, r, seed, k, column=False,
-                streaming=False) -> LowRankApprox:
-    """Stacked rank-r triples of the m blocks of block row k.
+def _as_row(apx: LowRankApprox, column: bool) -> LowRankApprox:
+    """A block column's triples as block row triples of the adjoint."""
+    return LowRankApprox(apx.v0, apx.sigma0, apx.u0) if column else apx
 
-    With ``column`` the line is block column k, returned as block row k of
-    the adjoint (u0 and v0 swapped), so that it is placed like a row.
+
+def _entry_line(entry, p, r, seed, k, column=False, streaming=False):
+    """Read block row k through the entry oracle, on the calling thread.
+
+    Returns a callable that finishes the line's stacked rank-r triples
+    without calling the oracle.  With ``column`` the line is block column
+    k, finished as block row k of the adjoint (u0 and v0 swapped), so that
+    it is placed like a row.  Only a dense line read in one call is left
+    to finish: streaming compresses each block as soon as it is read, and
+    the sampling engine calls the oracle between its own steps.
     """
     m, side = p.mid_nodes, p.mid_side
     whole_rows = getattr(entry, "whole_rows", False)
     if whole_rows or at_dense_limit(side, side, r):
-        step = 1 if streaming and not whole_rows else m
-        parts = [_dense_part(entry, p, r, seed, k, range(lo, lo + step), column)
-                 for lo in range(0, m, step)]
+        if whole_rows or not streaming:
+            ids, blocks = _read_dense(entry, p, k, range(m), column)
+            return lambda: _as_row(_compress_dense(ids, blocks, r, seed),
+                                   column)
+        parts = [_compress_dense(*_read_dense(entry, p, k, range(j, j + 1),
+                                              column), r, seed)
+                 for j in range(m)]
         join = np.concatenate
     else:
         parts = [_sample_block(entry, p, r, seed,
@@ -124,7 +174,8 @@ def _entry_line(entry, p, r, seed, k, column=False,
                  for other in range(m)]
         join = np.stack
     u0, sigma0, v0 = map(join, zip(*((a.u0, a.sigma0, a.v0) for a in parts)))
-    return LowRankApprox(*((v0, sigma0, u0) if column else (u0, sigma0, v0)))
+    line = _as_row(LowRankApprox(u0, sigma0, v0), column)
+    return lambda: line
 
 
 def _place_line(apx: LowRankApprox, u_row, v_col=None, w_row=None):
@@ -140,14 +191,59 @@ def _place_line(apx: LowRankApprox, u_row, v_col=None, w_row=None):
         w_row[...] = floored_inverse(apx.sigma0)
 
 
+def _worker_count() -> int:
+    """Threads of a construction pool: the CPUs this process may run on,
+    shared out among BLAS calls that may each use several of them.
+
+    A BLAS at its default spreads one call over every CPU, and pool threads
+    calling it at once then queue on its threads while they spin (FIO
+    n=16384, leaf 1, r=4 on 2 CPUs: the middle level no faster than
+    serial); a BLAS limited to one thread gets one pool thread per CPU.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    limit = next((os.environ[var] for var in _BLAS_THREAD_VARS
+                  if os.environ.get(var, "").strip().isdigit()), "0")
+    blas = int(limit) or cpus
+    return max(1, cpus // min(blas, cpus))
+
+
+def _in_pool(task, items) -> None:
+    """Run ``task(*item)`` for every item on a thread pool created and
+    joined here.
+
+    Items are drawn on the calling thread, in order.  Before an item is
+    submitted, the oldest task is waited for if one task per worker is
+    already queued or running, so the pool never holds more items than it
+    has workers.  Every result is read in order: the first failure is
+    raised once the tasks in flight have finished.
+    """
+    workers = _worker_count()
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for item in items:
+            if len(pending) == workers:
+                pending.popleft().result()
+            pending.append(pool.submit(task, *item))
+        while pending:
+            pending.popleft().result()
+
+
 def _middle_level(p: DyadicPartition, r: int, lines):
-    """U, M and V of the middle level from its m block rows in order."""
+    """U, M and V of the middle level from its m block rows in order.
+
+    ``lines`` yields, on the calling thread, one callable per block row
+    that finishes its stacked triples; they and the placing run in a pool.
+    """
     m, side = p.mid_nodes, p.mid_side
-    u = np.zeros((m, side, m, r), dtype=np.complex128)
-    v = np.zeros((m, side, m, r), dtype=np.complex128)
-    w = np.zeros((m, m, r))
-    for i, apx in enumerate(lines):
-        _place_line(apx, u[i], v[:, :, i], w[i])
+    u = np.empty((m, side, m, r), dtype=np.complex128)
+    v = np.empty((m, side, m, r), dtype=np.complex128)
+    w = np.empty((m, m, r))
+
+    def place(i, finish):
+        _place_line(finish(), u[i], v[:, :, i], w[i])
+
+    _in_pool(place, enumerate(lines))
     return (TransferFactor(p.half, u.reshape(m, 1, 1, side, m * r)),
             MiddleFactor(w),
             TransferFactor(p.half, v.reshape(m, 1, 1, side, m * r)))
@@ -220,45 +316,58 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
         y_row = k_rows[:, group].reshape(m, side, width)
         return svd_from_probes(y_col, y_row, row_probe[rows, group], r)
 
-    return _middle_level(p, r, (line(i) for i in range(m)))
+    return _middle_level(p, r, (partial(line, i) for i in range(m)))
 
 
-def _recurse(cur: np.ndarray, p: DyadicPartition, r: int):
-    """Refactor a stack of diagonal blocks down to the leaf level.
+def _refactor(cur: np.ndarray, levels, first: int) -> None:
+    """Refactor a stack of middle nodes of one side down to the leaf level.
 
-    ``cur`` is (nodes, rows, groups, r), any whole number of middle nodes.
-    Each level pairs sibling column groups, splits the rows as
-    :func:`chain_geometry` says, and keeps the leading k_out singular
-    directions of every (rows per output node) x 2k_in block.  Returns the
-    (level, blocks) pieces in the order of :func:`chain_geometry`, the leaf
-    (nodes, 1, 1, rows, k) last.
+    ``cur`` is (nodes, rows, groups, r): the middle nodes ``first``,
+    ``first + 1``, ...  ``levels`` holds one array per entry of
+    :func:`chain_geometry`, leaf last, and the rows of these nodes are
+    written into each.  Each level pairs sibling column groups, splits the
+    rows t ways and keeps the leading k_out singular directions of every
+    (rows per output node) x 2k_in block.
     """
-    *levels, (leaf_level, _) = chain_geometry(p, r)
-    pieces = []
-    for lvl, (_, pairs, t, k_out, two_k) in levels:
+    *transfer, leaf = levels
+    lo = first
+    for out in transfer:
+        _, pairs, t, k_out, two_k = out.shape
         nb, rows = cur.shape[:2]
         half = rows // t
         stacked = cur.reshape(nb, t, half, pairs, two_k).swapaxes(2, 3)
         uu, ss, vh = np.linalg.svd(stacked, full_matrices=False)
-        pieces.append((lvl, np.ascontiguousarray(vh[..., :k_out, :].swapaxes(1, 2))))
-        del vh  # free before new_u: the copy above adds one level to the peak
+        out[lo:lo + nb] = vh[..., :k_out, :].swapaxes(1, 2)
+        del vh  # free before new_u
         new_u = uu[..., :k_out] * ss[..., None, :k_out]  # (nb, t, pairs, half, k)
         cur = new_u.swapaxes(2, 3).reshape(nb * t, half, pairs, k_out)
+        lo *= t
     nb, rows, _, k = cur.shape
-    leaf = np.ascontiguousarray(cur.reshape(nb, 1, 1, rows, k))
-    return pieces + [(leaf_level, leaf)]
+    leaf[lo:lo + nb] = cur.reshape(nb, 1, 1, rows, k)
 
 
-def _side(pieces):
-    """(leaf factor, transfer chain) of one side from :func:`_recurse`."""
-    *chain, leaf = (TransferFactor(lvl, blocks) for lvl, blocks in pieces)
+def _level_arrays(p: DyadicPartition, r: int):
+    """One uninitialised array per level of a side, as chain_geometry says."""
+    return [np.empty(shape, dtype=np.complex128)
+            for _, shape in chain_geometry(p, r)]
+
+
+def _side(p: DyadicPartition, r: int, levels):
+    """(leaf factor, transfer chain) of one side from its level arrays."""
+    *chain, leaf = (TransferFactor(lvl, blocks) for (lvl, _), blocks
+                    in zip(chain_geometry(p, r), levels))
     return leaf, tuple(chain)
 
 
 def recursive_factor_u(u_h: TransferFactor, p: DyadicPartition, r: int):
     """Expand the middle left factor into its leaf factor and transfer chain."""
     m, side = p.mid_nodes, p.mid_side
-    return _side(_recurse(u_h.blocks.reshape(m, side, m, r), p, r))
+    cur = u_h.blocks.reshape(m, side, m, r)
+    levels = _level_arrays(p, r)
+    size = max(1, m // (_GROUPS_PER_WORKER * _worker_count()))
+    _in_pool(_refactor, ((cur[k:k + size], levels, k)
+                         for k in range(0, m, size)))
+    return _side(p, r, levels)
 
 
 def recursive_factor_v(v_h: TransferFactor, p: DyadicPartition, r: int):
@@ -301,20 +410,17 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
 
 def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
     m, side = _middle_shapes(p, r)
-    weights = np.zeros((m, m, r))
-    shapes = chain_geometry(p, r)
+    weights = np.empty((m, m, r))
     sides = []
     for column in (False, True):
-        arrays = [np.zeros(shape, dtype=np.complex128) for _, shape in shapes]
+        levels = _level_arrays(p, r)
         for k in range(m):
             # the u side takes block row k, the v side block column k
-            slab = np.zeros((1, side, m, r), dtype=np.complex128)
-            line = _entry_line(entry, p, r, seed, k, column, streaming=True)
+            slab = np.empty((1, side, m, r), dtype=np.complex128)
+            line = _entry_line(entry, p, r, seed, k, column, streaming=True)()
             _place_line(line, slab[0], w_row=None if column else weights[k])
-            for array, (_, blocks) in zip(arrays, _recurse(slab, p, r)):
-                nb = blocks.shape[0]
-                array[k * nb:(k + 1) * nb] = blocks
-        sides.append(_side([(lvl, a) for (lvl, _), a in zip(shapes, arrays)]))
+            _refactor(slab, levels, k)
+        sides.append(_side(p, r, levels))
     (u_outer, g_chain), (v_outer, h_chain) = sides
     return ButterflyFactors(p, r, u_outer, g_chain, MiddleFactor(weights),
                             h_chain, v_outer)

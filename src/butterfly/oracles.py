@@ -7,7 +7,8 @@ Two contracts, mirroring how the construction algorithms touch the matrix:
 * operator oracle -- ``shape`` plus ``apply(x)`` / ``apply_adjoint(x)`` on
   (n, k) blocks of vectors.
 
-Both must be pure and safe to call concurrently.
+Both must be pure.  The construction calls them only from the thread that
+called it, in a fixed order, whatever the number of CPUs.
 
 An entry oracle may set ``whole_rows = True`` when a block costs as much as
 its rows up to its largest column: middle block lines are then read whole

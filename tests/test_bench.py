@@ -132,8 +132,11 @@ def test_composition_rows_use_the_fast_chain_reference():
 def test_bench_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(kernel="nope", n_list=(64,), rank_list=(2,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 1, got 0"):
         BenchConfig(kernel="fio", n_list=(64,), rank_list=(2,),
                     sample_count=0)
+    for n_list, rank_list in (((), (2,)), ((64,), ())):
+        with pytest.raises(ValueError, match="must not be empty"):
+            BenchConfig(kernel="fio", n_list=n_list, rank_list=rank_list)
     with pytest.raises(ValueError, match="unknown kernel"):
         build_operator("nope", 64, 2, 0.25, "sampling", 0)

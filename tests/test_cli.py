@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from butterfly import load_factors, read_vector, write_vector
+from butterfly import bench, cli, load_factors, read_vector, write_vector
 from butterfly.cli import cli_main
 
 from conftest import complex_gaussian
@@ -84,13 +84,33 @@ def test_verify_rejects_oversized_problem():
     assert run("verify", "--kernel", "fio", "--n", "8192", "--rank", "4") == 1
 
 
-def test_verify_rejects_an_empty_sample(capsys):
-    # with no sampled rows eps_a would read 0 and pass any --tol
+def _no_factorization(monkeypatch):
+    def factorize(*args, **kwargs):
+        raise AssertionError("a factorization ran")
+
+    monkeypatch.setattr(cli, "factorize", factorize)
+    monkeypatch.setattr(bench, "factorize", factorize)
+
+
+def test_verify_rejects_an_empty_sample(monkeypatch, capsys):
+    # with no sampled rows eps_a would read 0 and pass any --tol; the
+    # count is checked while parsing, before any factorization
+    _no_factorization(monkeypatch)
     assert run("verify", "--kernel", "fio", "--n", "64", "--rank", "2",
                "--samples", "0", "--tol", "1e-30") == 1
     captured = capsys.readouterr()
     assert "eps_a" not in captured.out
-    assert "sample_count must be at least 1" in captured.err
+    assert "sample_count must be at least 1, got 0" in captured.err
+
+
+def test_bench_rejects_an_empty_sample_before_factoring(monkeypatch, capsys):
+    _no_factorization(monkeypatch)
+    assert run("bench", "--kernel", "composition", "--n-list", "64",
+               "--rank-list", "2", "--samples", "0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --samples: sample_count must be at least 1, got 0" \
+        in captured.err
 
 
 def test_verify_and_bench_row_zero_share_eps(capsys):
@@ -135,6 +155,17 @@ def test_bench_unknown_format_is_usage_error(capsys):
     assert run("bench", "--kernel", "fio", "--n-list", "64",
                "--rank-list", "2", "--format", "xml") == 1
     assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_list, rank_list", [
+    (",", "2"), ("64", ","), ("", "2"), ("64,", "2"), ("64,,128", "2")])
+def test_bench_rejects_empty_size_lists(capsys, n_list, rank_list):
+    # an empty list would print a report with no rows and exit 0
+    assert run("bench", "--kernel", "fio", "--n-list", n_list,
+               "--rank-list", rank_list) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty item" in captured.err
 
 
 def test_bench_size_lists_are_parsed_by_argparse(capsys):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,8 @@ from butterfly import (DenseOracle, FioKernel, HankelKernel, OracleError,
                        middle_factorization_matvec,
                        middle_factorization_sampling, recursive_factor_u,
                        recursive_factor_v, truncated_svd)
+from butterfly import construct
+from butterfly.bench import build_operator
 from butterfly.construct import block_diagonal_probe
 from butterfly.factors import TransferFactor, chain_geometry
 from butterfly.lowrank import at_dense_limit, floored_inverse
@@ -480,3 +483,116 @@ def test_exact_rank_chain_reproduction_all_modes(rng):
         g = complex_gaussian(rng, 64)
         err = np.linalg.norm(f.apply(g) - k @ g) / np.linalg.norm(k @ g)
         assert err <= 1e-10
+
+
+class LoggingEntryOracle:
+    """Entry oracle that logs the calling thread and the arguments of every
+    call."""
+
+    def __init__(self, inner):
+        self.inner, self.shape, self.log = inner, inner.shape, []
+
+    def _log(self, name, *args):
+        self.log.append((threading.get_ident(), name,
+                         *(np.asarray(a).tobytes() for a in args)))
+
+    def block(self, rows, cols):
+        self._log("block", rows, cols)
+        return self.inner.block(rows, cols)
+
+
+class LoggingOperatorOracle(LoggingEntryOracle):
+    def apply(self, x):
+        self._log("apply", x)
+        return self.inner.apply(x)
+
+    def apply_adjoint(self, x):
+        self._log("apply_adjoint", x)
+        return self.inner.apply_adjoint(x)
+
+
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(construct, "_worker_count", lambda: workers)
+
+
+@pytest.mark.parametrize("mode, n, leaf, r", [
+    ("sampling", 256, 0.25, 4),   # dense lines, truncated SVD
+    ("sampling", 256, 1, 2),      # dense lines, sketched SVD
+    ("sampling", 1024, 4, 1),     # sampling engine (side 64 > 32 r)
+    ("streaming", 256, 1, 2),
+    ("matvec", 128, 0.25, 4)])
+def test_oracles_are_called_from_the_calling_thread_in_serial_order(
+        monkeypatch, mode, n, leaf, r):
+    if mode == "matvec":
+        p, op, _, _ = build_operator("composition", n, r, leaf, mode, 0)
+        make = lambda: LoggingOperatorOracle(op)  # noqa: E731
+    else:
+        p = make_partition(n, leaf)
+        make = lambda: LoggingEntryOracle(FioKernel(n))  # noqa: E731
+    logs = []
+    for workers in (1, 3):
+        _use_workers(monkeypatch, workers)
+        oracle = make()
+        factorize(oracle, p, r, seed=0, mode=mode)
+        logs.append(oracle.log)
+    serial, pooled = logs
+    assert {call[0] for call in serial + pooled} == {threading.get_ident()}
+    assert [call[1:] for call in pooled] == [call[1:] for call in serial]
+
+
+@pytest.mark.parametrize("kernel, n, leaf, r, mode", [
+    ("fio", 256, 0.25, 4, "sampling"), ("fio", 256, 1, 2, "sampling"),
+    ("composition", 128, 0.25, 4, "matvec")])
+def test_factors_do_not_depend_on_the_worker_count(monkeypatch, kernel, n,
+                                                   leaf, r, mode):
+    # the refactoring's group size follows the worker count, so this also
+    # covers different groupings of the middle nodes
+    p, oracle, _, mode = build_operator(kernel, n, r, leaf, mode, 0)
+    built = []
+    for workers in (1, 3):
+        _use_workers(monkeypatch, workers)
+        built.append(factorize(oracle, p, r, seed=0, mode=mode))
+    assert factors_equal(*built)
+
+
+@pytest.mark.parametrize("where", ["first line", "last line", "oracle"])
+def test_a_failure_leaves_no_thread_behind(monkeypatch, where):
+    # FIO n=256 at leaf 0.25 has 32 block rows, each one truncated_svd call
+    n, m = 256, 32
+    threads = threading.active_count()
+    _use_workers(monkeypatch, 3)
+    oracle, error, seen = FioKernel(n), np.linalg.LinAlgError, []
+    lock = threading.Lock()
+    if where == "oracle":
+        # lines 0 to 4 are in the pool or done when line 5 fails
+        _, oracle = _matrix_with_nan_block(n, 0.25, 5, 7, False)
+        error = OracleError
+    else:
+        fail_at = 1 if where == "first line" else m
+        svd = construct.truncated_svd
+
+        def failing(*args):
+            with lock:
+                seen.append(threading.get_ident())
+                if len(seen) == fail_at:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args)
+
+        monkeypatch.setattr(construct, "truncated_svd", failing)
+    with pytest.raises(error):
+        factorize(oracle, make_partition(n, 0.25), 4, seed=0)
+    assert threading.get_ident() not in seen
+    assert seen or where == "oracle"
+    assert threading.active_count() == threads
+
+
+def test_pool_size_shares_the_cpus_with_blas_threads(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    for var in construct._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert construct._worker_count() == 1  # BLAS default: every CPU a call
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert construct._worker_count() == cpus
+    # the library's own variable comes before OpenMP's
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert construct._worker_count() == max(1, cpus // min(2, cpus))
