@@ -44,6 +44,14 @@ def sample_count(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def tolerance(text: str) -> float:
+    """--tol: a bound >= 0; NaN would compare false and pass any eps_a."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"tol must be >= 0, got {text}")
+    return value
+
+
 def _add_problem_args(sub, lists: bool = False):
     """Flags of one problem: --n and --rank, or bench's --n-list/--rank-list."""
     sub.add_argument("--kernel", required=True, choices=KERNELS)
@@ -85,7 +93,7 @@ def build_parser() -> _Parser:
                              help="dense comparison of a fresh factorization")
     _add_problem_args(verify)
     verify.add_argument("--samples", type=sample_count, default=256)
-    verify.add_argument("--tol", type=float, default=None,
+    verify.add_argument("--tol", type=tolerance, default=None,
                         help="exit 2 when eps_a exceeds this bound")
     return parser
 

@@ -12,6 +12,7 @@ column node ``j`` at level ``levels - lvl``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -83,15 +84,17 @@ def make_partition(n, target_leaf) -> DyadicPartition:
             f"n={n} admits no dyadic decomposition; nearest admissible sizes "
             f"are powers of two such as {lo} and {2 * lo}"
         )
-    if target_leaf <= 0:
-        raise ValueError("target_leaf must be positive")
+    if not 0 < target_leaf < math.inf:
+        raise ValueError(f"target_leaf must be positive and finite, got "
+                         f"{target_leaf}")
     levels = -1
     for cand in range(2, 2 * (n.bit_length() - 1) + 1, 2):
         if n / 2 ** cand >= target_leaf:
             levels = cand
     if levels < 0:
+        lo = 2 ** max(2, math.ceil(math.log2(4 * target_leaf)))
         raise ValueError(
             f"no even depth >= 2 leaves at least {target_leaf} indices per "
-            f"leaf for n={n}; admissible n start at {2 ** max(2, int(4 * target_leaf).bit_length() - 1)}"
+            f"leaf for n={n}; admissible n start at {lo}"
         )
     return DyadicPartition(n, levels)

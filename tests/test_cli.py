@@ -103,6 +103,24 @@ def test_verify_rejects_an_empty_sample(monkeypatch, capsys):
     assert "sample_count must be at least 1, got 0" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-3", "-inf"])
+def test_verify_rejects_a_tolerance_that_passes_nothing_or_everything(
+        monkeypatch, capsys, tol):
+    # eps_a > nan is always false, so --tol nan would turn the gate off
+    _no_factorization(monkeypatch)
+    assert run("verify", "--kernel", "fio", "--n", "64", "--rank", "1",
+               f"--tol={tol}") == 1
+    captured = capsys.readouterr()
+    assert "eps_a" not in captured.out
+    assert f"argument --tol: tol must be >= 0, got {tol}" in captured.err
+
+
+def test_verify_leaf_inf_is_a_usage_error(capsys):
+    assert run("verify", "--kernel", "fio", "--n", "64", "--rank", "1",
+               "--leaf", "inf") == 1
+    assert "target_leaf must be positive and finite" in capsys.readouterr().err
+
+
 def test_bench_rejects_an_empty_sample_before_factoring(monkeypatch, capsys):
     _no_factorization(monkeypatch)
     assert run("bench", "--kernel", "composition", "--n-list", "64",

@@ -33,6 +33,24 @@ def test_make_partition_rejects_non_powers_of_two(bad):
         make_partition(bad, 2)
 
 
+@pytest.mark.parametrize("leaf", [np.inf, np.nan, -np.inf, 0])
+def test_make_partition_rejects_non_finite_leaves(leaf):
+    with pytest.raises(ValueError, match="target_leaf must be positive and "
+                                         "finite"):
+        make_partition(64, leaf)
+
+
+@pytest.mark.parametrize("n, leaf, lo", [(256, 100, 512), (16, 5, 32),
+                                         (64, 64, 256), (4, 1.5, 8),
+                                         (8, 0.75 * 2 ** 10, 4096)])
+def test_make_partition_names_the_smallest_admissible_n(n, leaf, lo):
+    # the smallest power of two >= max(4, 4 * leaf) has a depth-2 tree
+    with pytest.raises(ValueError, match=f"admissible n start at {lo}$"):
+        make_partition(n, leaf)
+    assert make_partition(lo, leaf).levels == 2
+    assert lo // 2 < 4 * leaf
+
+
 def test_make_partition_takes_numpy_integers():
     p = make_partition(np.int64(1024), 0.25)
     assert p == make_partition(1024, 0.25) and type(p.n) is int

@@ -82,21 +82,22 @@ def test_vector_truncation(tmp_path, rng):
         read_vector(path)
 
 
-def _header(version=2, n=64, levels=8, rank=3, count=11):
+def _header(version=3, n=64, levels=8, rank=3, count=11):
     return b"BFAC" + struct.pack("<IQII", version, n, levels, rank) \
         + struct.pack("<I", count)
 
 
 @pytest.mark.parametrize("header, offset", [
     (_header(version=1), 4),                       # padded layout, not read
+    (_header(version=2), 4),                       # per-block records
     (_header(n=48, levels=2), 8),                  # n not a power of two
     (_header(n=64, levels=5), 8),                  # odd depth
     (_header(n=64, levels=2 ** 31), 16),           # depth bounded up front
     (_header(n=64, levels=8, rank=5), 20),         # rank above mid_side 4
     (_header(n=64, levels=8, rank=0), 20),
     (_header(count=12), 24),
-    # a 2**32 x 1 leaf block: one 64 GiB record, beyond numpy's dtype limit
-    (_header(n=2 ** 34, levels=2, rank=1, count=5), 8),
+    # a 2**32 x 1 leaf block (64 GiB): the file ends long before it
+    (_header(n=2 ** 34, levels=2, rank=1, count=5), 28 + 64),
 ])
 def test_bad_header_fields_rejected(tmp_path, header, offset):
     path = tmp_path / "f.bfac"
@@ -129,16 +130,15 @@ def test_reordered_factors_rejected(factors, tmp_path):
     assert err.value.offset == 28
 
 
-#: sha256 of ``arange_chain(make_partition(64, 0.25), 3)`` in version 2, as
-#: the block-by-block writer produced it; any change to the bytes fails.
+#: sha256 of ``arange_chain(make_partition(64, 0.25), 3)`` in version 3;
+#: any change to the bytes fails.
 GOLDEN_SHA256 = \
-    "4498df0d4766eb67854f6d55ebe73f41cc76c80e90f0df7fb96b9045c81b9f2a"
+    "22a343be1d769934723dafd40c99b4e4ad533d0e06dc8eb97d6f8483b1aecbb6"
 
 
 def arange_chain(p, rank):
-    """Chain with every array filled from a running arange: deterministic
-    bytes without any LAPACK call.  Transfer blocks are numbered in file
-    order, block [i, s, j], and held as the array's [i, j, s]."""
+    """Chain with every array filled from a running arange in file order:
+    deterministic bytes without any LAPACK call."""
     *shapes, (leaf, leaf_shape) = chain_geometry(p, rank)
     start = 0
 
@@ -149,9 +149,8 @@ def arange_chain(p, rank):
         return k.reshape(shape)
 
     def cplx(shape):
-        nodes, pairs, t, rows, cols = shape
-        k = values((nodes, t, pairs, rows, cols)).swapaxes(1, 2)
-        return np.ascontiguousarray((k + 0.5) / 3.0 - 1j * k / 7.0)
+        k = values(shape)
+        return (k + 0.5) / 3.0 - 1j * k / 7.0
 
     u = TransferFactor(leaf, cplx(leaf_shape))
     g = tuple(TransferFactor(lvl, cplx(shape)) for lvl, shape in shapes)
@@ -162,11 +161,11 @@ def arange_chain(p, rank):
 
 
 def record_sections(p, rank):
-    """(first record byte, block count, record bytes) per factor in file
+    """(first payload byte, block count, block bytes) per factor in file
     order, from the documented format alone."""
-    complex_ = [(math.prod(s[:-2]), 24 + 16 * s[-2] * s[-1])
+    complex_ = [(math.prod(s[:3]), 16 * s[3] * s[4])
                 for _, s in reversed(chain_geometry(p, rank))]
-    middle = [(p.mid_nodes ** 2, 24 + 8 * rank)]
+    middle = [(p.mid_nodes ** 2, 8 * rank)]
     sections, offset = [], 28
     for count, size in complex_ + middle + complex_[::-1]:
         sections.append((offset + 13, count, size))
@@ -186,28 +185,9 @@ def test_bytes_match_frozen_digest(golden):
     p, path = golden
     data = path.read_bytes()
     first, count, size = record_sections(p, 3)[-1]
-    assert len(data) == first + count * size == 194731
+    assert len(data) == first + count * size == 151723
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
     assert factors_equal(load_factors(path), arange_chain(p, 3))
-
-
-def test_block_header_mismatch_reports_its_offset(golden):
-    # left transfer level 5, the fourth factor in the file, holds a
-    # (32, 2, 4) grid of 1 x 4 blocks: block [i, s, j] sits at column
-    # (i * 4 + j) * 4
-    p, path = golden
-    first, count, size = record_sections(p, 3)[3]
-    block = count // 2 + 1
-    start = first + block * size
-    data = bytearray(path.read_bytes())
-    row_off, col_off = struct.unpack_from("<QQ", data, start)
-    i, _, j = np.unravel_index(block, (32, 2, 4))
-    assert (row_off, col_off) == (block, (i * 4 + j) * 4)
-    struct.pack_into("<Q", data, start + 8, col_off + 4)
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match=f"block {block} ") as err:
-        load_factors(path)
-    assert err.value.offset == start
 
 
 @pytest.mark.parametrize("factor, bad", [(3, np.nan), (5, np.inf),
@@ -227,6 +207,18 @@ def test_non_finite_payload_reports_its_block(golden, factor, bad):
     assert err.value.offset == start
 
 
+def test_loaded_arrays_are_aligned_and_contiguous(factors, tmp_path):
+    # payloads sit at odd file offsets; a zero-copy view would be misaligned
+    path = tmp_path / "f.bfac"
+    save_factors(factors, path)
+    loaded = load_factors(path)
+    arrays = [loaded.middle.weights] + [tf.blocks for side in loaded.sides
+                                        for tf in side]
+    for array in arrays:
+        assert array.flags.c_contiguous and array.flags.aligned
+        assert array.flags.owndata and array.dtype.isnative
+
+
 def test_save_rejects_misshapen_chain_before_writing(factors, tmp_path):
     # transposed blocks hold the right number of entries in the wrong shape
     path = tmp_path / "f.bfac"
@@ -240,7 +232,7 @@ def test_save_rejects_misshapen_chain_before_writing(factors, tmp_path):
 
 
 def test_save_holds_the_file_once(tmp_path):
-    # records are filled in place in one file buffer, with no second copy
+    # each factor's array is written as it is, with no copy of the file
     n = 256
     f = factorize(FioKernel(n), make_partition(n, 0.25), 4, seed=0)
     path = tmp_path / "f.bfac"
@@ -251,3 +243,23 @@ def test_save_holds_the_file_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("read, header", [
+    (load_factors, _header()),
+    (read_vector, struct.pack("<Q", 4)),
+], ids=["factors", "vector"])
+def test_long_tail_rejected_before_reading(tmp_path, read, header):
+    # a valid header and 32 MB behind it: the length check reads no body
+    path = tmp_path / "f.bin"
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(len(header) + 32 * 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
