@@ -22,14 +22,14 @@ splitting rows and merging sibling column groups, until the leaf level.
 Each public stage function runs its pure linear algebra on a thread pool
 that it creates and joins itself: one thread per CPU the process may run
 on when BLAS is limited to one thread, fewer when each BLAS call may
-already use several CPUs (see :func:`_worker_count`).  Oracles are called
-only from the calling thread, in a fixed order: the caller reads each block
-line (and checks it for non-finite values) while at most one line per
-worker is compressed and placed in the pool, and the refactoring, which
-reads no oracle, runs groups of middle nodes side by side.  Every unit of
-work is computed as it would be alone, and a slice of a stacked LAPACK call
-equals the call on that slice, so the factors are bit-identical for any
-CPU count.
+already use several CPUs (see :mod:`butterfly._pool`).  Oracles are
+called only from the calling thread, in a fixed order: the caller reads
+each block line (and checks it for non-finite values) while at most one
+line per worker is compressed and placed in the pool, and the refactoring,
+which reads no oracle, runs groups of middle nodes side by side.  Every
+unit of work is computed as it would be alone, and a slice of a stacked
+LAPACK call equals the call on that slice, so the factors are bit-identical
+for any CPU count.
 
 Randomness is derived per block from the master seed (spawn keys carry the
 block coordinates), so results are independent of the schedule: the
@@ -41,13 +41,11 @@ would raise the peak it exists to keep.
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 
+from . import _pool
 from .factors import (ButterflyFactors, MiddleFactor, TransferFactor,
                       chain_geometry)
 from .lowrank import (PROBE_OVERSAMPLING, LowRankApprox, at_dense_limit,
@@ -60,20 +58,6 @@ _SAMPLING_DOMAIN = 0
 _COL_PROBE_DOMAIN = 1
 _ROW_PROBE_DOMAIN = 2
 _SKETCH_DOMAIN = 3
-
-#: Where BLAS libraries read their thread count, their own names before
-#: OpenMP's, as OpenBLAS and MKL read them.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-                     "OMP_NUM_THREADS")
-
-#: Groups of middle nodes the refactoring cuts a side into per worker.
-#: More groups than workers keep fewer of a side's temporaries alive at
-#: once (fio-ref on a 2-core host: recursive_factor_u peaks at 26.6 MB
-#: whole, 18.6 MB at 4 groups per worker, at the same speed), and each
-#: group still stacks enough nodes that its SVD calls outweigh dispatch.
-_GROUPS_PER_WORKER = 4
-
 
 def block_rng(seed, *key) -> np.random.Generator:
     """Independent generator for one construction sub-task."""
@@ -191,44 +175,6 @@ def _place_line(apx: LowRankApprox, u_row, v_col=None, w_row=None):
         w_row[...] = floored_inverse(apx.sigma0)
 
 
-def _worker_count() -> int:
-    """Threads of a construction pool: the CPUs this process may run on,
-    shared out among BLAS calls that may each use several of them.
-
-    A BLAS at its default spreads one call over every CPU, and pool threads
-    calling it at once then queue on its threads while they spin (FIO
-    n=16384, leaf 1, r=4 on 2 CPUs: the middle level no faster than
-    serial); a BLAS limited to one thread gets one pool thread per CPU.
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    limit = next((os.environ[var] for var in _BLAS_THREAD_VARS
-                  if os.environ.get(var, "").strip().isdigit()), "0")
-    blas = int(limit) or cpus
-    return max(1, cpus // min(blas, cpus))
-
-
-def _in_pool(task, items) -> None:
-    """Run ``task(*item)`` for every item on a thread pool created and
-    joined here.
-
-    Items are drawn on the calling thread, in order.  Before an item is
-    submitted, the oldest task is waited for if one task per worker is
-    already queued or running, so the pool never holds more items than it
-    has workers.  Every result is read in order: the first failure is
-    raised once the tasks in flight have finished.
-    """
-    workers = _worker_count()
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for item in items:
-            if len(pending) == workers:
-                pending.popleft().result()
-            pending.append(pool.submit(task, *item))
-        while pending:
-            pending.popleft().result()
-
-
 def _middle_level(p: DyadicPartition, r: int, lines):
     """U, M and V of the middle level from its m block rows in order.
 
@@ -243,7 +189,7 @@ def _middle_level(p: DyadicPartition, r: int, lines):
     def place(i, finish):
         _place_line(finish(), u[i], v[:, :, i], w[i])
 
-    _in_pool(place, enumerate(lines))
+    _pool.in_pool((place, enumerate(lines)))
     return (TransferFactor(p.half, u.reshape(m, 1, 1, side, m * r)),
             MiddleFactor(w),
             TransferFactor(p.half, v.reshape(m, 1, 1, side, m * r)))
@@ -364,9 +310,9 @@ def recursive_factor_u(u_h: TransferFactor, p: DyadicPartition, r: int):
     m, side = p.mid_nodes, p.mid_side
     cur = u_h.blocks.reshape(m, side, m, r)
     levels = _level_arrays(p, r)
-    size = max(1, m // (_GROUPS_PER_WORKER * _worker_count()))
-    _in_pool(_refactor, ((cur[k:k + size], levels, k)
-                         for k in range(0, m, size)))
+    size = max(1, m // (_pool.GROUPS_PER_WORKER * _pool.worker_count()))
+    _pool.in_pool((_refactor, ((cur[k:k + size], levels, k)
+                               for k in range(0, m, size))))
     return _side(p, r, levels)
 
 

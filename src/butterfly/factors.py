@@ -10,6 +10,14 @@ the t blocks fed by one input pair together, so either direction of a level
 is one matmul call.  Each level keeps only the rank its nodes can carry,
 min(r, rows per node), so the arrays hold no zero padding;
 :func:`chain_geometry` is the one place that fixes those shapes.
+
+Each side of the chain is a tree rooted at the m middle nodes: a group of
+middle nodes owns the same share of every level's blocks and of its input
+and output rows.  An apply that carries enough work (stored entries times
+vectors, against :data:`_GROUP_WORK`) runs such groups side by side on the
+construction pool; a smaller one, a single vector through most chains,
+runs on the calling thread.  Each block meets the same matmul call either
+way, so the output is bit-identical for any group or CPU count.
 """
 
 from __future__ import annotations
@@ -19,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from .partition import DyadicPartition
+
+#: Stored entries times vectors that one group of an apply carries at least
+#: (see :meth:`ButterflyFactors._pooled`); below twice this the whole chain
+#: runs on the calling thread.  On a 2-core host a split apply broke even
+#: with one group near 8 M (fio-stream at 73 vectors, composition at 18) and
+#: won from about 15 M (hankel at 64 vectors, 18.9 M: -16 %).
+_GROUP_WORK = 4_000_000
 
 
 def chain_geometry(p: DyadicPartition, r: int):
@@ -136,16 +152,23 @@ class MiddleFactor:
     def dense(self) -> np.ndarray:
         return self.forward(np.eye(self.shape[1], dtype=complex))
 
-    def forward(self, w: np.ndarray, out=None) -> np.ndarray:
+    def forward(self, w: np.ndarray, out=None,
+                nodes=slice(None)) -> np.ndarray:
+        """M w, or only its block rows ``nodes``, which read every block
+        row of ``w``."""
         win = w.reshape(self.m, self.m, self.rank, -1)
-        res = _take(out, win.shape)
-        np.multiply(self.weights[..., None], win.swapaxes(0, 1), out=res)
+        weights = self.weights[nodes]
+        res = _take(out, (*weights.shape, win.shape[-1]))
+        np.multiply(weights[..., None], win[:, nodes].swapaxes(0, 1), out=res)
         return res.reshape(-1, win.shape[-1])
 
-    def adjoint(self, w: np.ndarray, out=None) -> np.ndarray:
+    def adjoint(self, w: np.ndarray, out=None,
+                nodes=slice(None)) -> np.ndarray:
+        """M* w, or only its block rows ``nodes``, as in :meth:`forward`."""
         win = w.reshape(self.m, self.m, self.rank, -1)
-        res = _take(out, win.shape)
-        np.multiply(self.weights[..., None], win, out=res.swapaxes(0, 1))
+        weights = self.weights[:, nodes]
+        res = _take(out, (weights.shape[1], self.m, *win.shape[2:]))
+        np.multiply(weights[..., None], win[:, nodes], out=res.swapaxes(0, 1))
         return res.reshape(-1, win.shape[-1])
 
 
@@ -160,6 +183,10 @@ class ButterflyFactors:
     middle: MiddleFactor
     h_chain: tuple  # same layout, column side
     v_outer: TransferFactor
+
+    def __post_init__(self):
+        # the stored entries, which size the work of every apply
+        object.__setattr__(self, "_stored", self.nnz_report().total)
 
     @property
     def n(self) -> int:
@@ -181,27 +208,91 @@ class ButterflyFactors:
 
     def _chain(self, g: np.ndarray, adjoint: bool) -> np.ndarray:
         g = np.asarray(g)
-        vec = g.ndim == 1
+        if g.ndim not in (1, 2):
+            raise ValueError(f"input of shape {g.shape}: expected a vector "
+                             f"or an (n, k) block")
         if g.shape[0] != self.n:
             raise ValueError(f"input length {g.shape[0]} != {self.n}")
-        w = g.reshape(self.n, -1).astype(np.complex128, copy=False)
+        vec = g.ndim == 1
+        w = (g[:, None] if vec else g).astype(np.complex128, copy=False)
+        if not w.shape[1]:
+            return np.empty((self.n, 0), dtype=np.complex128)
         if not np.isfinite(w).all():
             row = int(np.argmin(np.isfinite(w).all(axis=1)))
             raise ValueError(f"input row {row} holds NaN or inf")
         left, right = self.sides[::-1] if adjoint else self.sides
         middle = self.middle.adjoint if adjoint else self.middle.forward
+        groups = w.shape[1] * self._stored // _GROUP_WORK
+        if groups > 1:
+            groups = min(self.middle.m, groups,
+                         _pool.GROUPS_PER_WORKER * _pool.worker_count())
+        if groups > 1:
+            w = self._pooled(w, left, middle, right, groups)
+        else:
+            w = self._serial(w, left, middle, right)
+        return w[:, 0] if vec else w
+
+    def _serial(self, w, left, middle, right) -> np.ndarray:
         # Two buffers of the widest level: an adjoint gathers a into b and
         # writes back over a, the middle and each forward write into the
         # other one, and the last factor allocates the result.
-        size = w.shape[1] * max(max(f.shape) for f in (*left, *right, self.middle))
-        a, b = np.empty(size, np.complex128), np.empty(size, np.complex128)
+        widest = max(max(f.shape) for f in (*left, *right, self.middle))
+        a = np.empty(w.shape[1] * widest, np.complex128)
+        b = np.empty_like(a)
         for tf in reversed(right):
             w = tf.adjoint(w, out=a, work=b)
         for op in (middle, *(tf.forward for tf in left[:-1])):
             w = op(w, out=b)
             a, b = b, a
-        w = left[-1].forward(w)
-        return w[:, 0] if vec else w
+        return left[-1].forward(w)
+
+    def _pooled(self, w, left, middle, right, groups) -> np.ndarray:
+        """The chain as independent subtrees of the middle nodes, in two
+        pool rounds: each group of middle nodes runs its share of the right
+        side into its rows of the middle's input, then its rows of the
+        middle, which read every row, and its share of the left side.
+
+        Group [lo, hi) owns blocks [lo * s, hi * s) of every level of
+        s * m nodes and the matching rows of each level's input and output,
+        so every block meets the same matmul as in :meth:`_serial`: the
+        same bits for any grouping.  A running group holds two buffers of
+        its own widest level besides the shared middle input, and the pool
+        runs one group per worker at a time.
+        """
+        m, nv = self.middle.m, w.shape[1]
+        cuts = [m * i // groups for i in range(groups + 1)]
+        mid = np.empty((self.middle.shape[0], nv), dtype=np.complex128)
+        res = np.empty((self.n, nv), dtype=np.complex128)
+
+        def rows(x, lo, hi):
+            return x[lo * len(x) // m:hi * len(x) // m]
+
+        def share(factors, lo, hi):
+            parts = [TransferFactor(tf.level, rows(tf.blocks, lo, hi))
+                     for tf in factors]
+            widest = max(len(rows(mid, lo, hi)),
+                         *(max(tf.shape) for tf in parts))
+            a = np.empty(nv * widest, np.complex128)
+            return parts, a, np.empty_like(a)
+
+        def right_side(lo, hi):
+            (*first, last), a, b = share(right[::-1], lo, hi)
+            x = rows(w, lo, hi)
+            for tf in first:
+                x = tf.adjoint(x, out=a, work=b)
+            last.adjoint(x, out=rows(mid, lo, hi).reshape(-1), work=b)
+
+        def left_side(lo, hi):
+            (*first, last), a, b = share(left, lo, hi)
+            x = middle(mid, out=b, nodes=slice(lo, hi))
+            for tf in first:
+                x = tf.forward(x, out=a)
+                a, b = b, a
+            last.forward(x, out=rows(res, lo, hi).reshape(-1))
+
+        spans = list(zip(cuts, cuts[1:]))
+        _pool.in_pool((right_side, spans), (left_side, spans))
+        return res
 
     def dense(self) -> np.ndarray:
         """Materialize the factored operator (tests and verify only)."""

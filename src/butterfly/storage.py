@@ -20,9 +20,9 @@ files are a u64 length followed by that many complex f64 pairs.
 
 On load the header and the file length are checked against :func:`_layout`
 before the body is read, and every factor header before any array exists;
-then each factor is copied into an aligned array and checked for NaN and
-inf, and the first bad block is reported at the byte where its payload
-starts.
+then each factor is read straight into its own aligned array, so the load
+holds the file once, and checked for NaN and inf, the first bad block
+reported at the byte where its payload starts.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import itertools
 import math
 import os
 import struct
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -124,15 +125,24 @@ def _head(fh, size: int) -> bytes:
     return head
 
 
-def _body(fh, size: int) -> bytes:
-    """The whole file, once its length matches the ``size`` the header
-    implies, so a bad header never reads more than the header."""
+def _check_length(fh, size: int) -> None:
+    """Match the file's length to the ``size`` its header implies, so a bad
+    header never reads more than the header."""
     actual = os.fstat(fh.fileno()).st_size
     if actual != size:
         raise FormatError(f"file holds {actual} bytes, header implies "
                           f"{size}", min(size, actual))
-    fh.seek(0)
-    return fh.read(size)
+
+
+def _read_into(fh, array: np.ndarray, first: int) -> np.ndarray:
+    """Fill ``array`` with the file bytes from ``first`` on, byte-swapped
+    from little-endian on a big-endian host."""
+    fh.seek(first)
+    if fh.readinto(memoryview(array).cast("B")) != array.nbytes:
+        raise FormatError("file shrank while being read", first)
+    if sys.byteorder != "little":
+        array.byteswap(inplace=True)
+    return array
 
 
 def _header_partition(n: int, levels: int, rank: int) -> DyadicPartition:
@@ -148,8 +158,10 @@ def _header_partition(n: int, levels: int, rank: int) -> DyadicPartition:
     return p
 
 
-def _check_factor_header(data: bytes, sec: _Factor, start: int) -> None:
-    kind, level, declared = struct.unpack_from(_FACTOR_HEADER, data, start)
+def _check_factor_header(fh, sec: _Factor, start: int) -> None:
+    fh.seek(start)
+    header = fh.read(struct.calcsize(_FACTOR_HEADER))
+    kind, level, declared = struct.unpack(_FACTOR_HEADER, header)
     if (kind, level) != (sec.kind, sec.level):
         raise FormatError(f"factor (kind, level) {(kind, level)}, expected "
                           f"({sec.kind}, {sec.level})", start)
@@ -158,10 +170,11 @@ def _check_factor_header(data: bytes, sec: _Factor, start: int) -> None:
                           f"blocks, geometry implies {sec.count}", start + 5)
 
 
-def _read_factor(data: bytes, sec: _Factor, first: int):
-    """The factor whose array starts at byte ``first``, as an aligned copy."""
-    array = np.frombuffer(data, sec.dtype, math.prod(sec.shape), first) \
-        .reshape(sec.shape).astype(sec.dtype.newbyteorder("="))
+def _read_factor(fh, sec: _Factor, first: int):
+    """The factor whose array starts at byte ``first``, read straight into
+    an aligned native array."""
+    array = _read_into(fh, np.empty(sec.shape, sec.dtype.newbyteorder("=")),
+                       first)
     if not np.isfinite(array).all():
         b = int(np.argmin(np.isfinite(array).reshape(sec.count, -1).all(1)))
         raise FormatError(f"block {b} of factor kind {sec.kind} holds NaN or "
@@ -188,11 +201,12 @@ def load_factors(path) -> ButterflyFactors:
                               len(head) - 4)
         starts = list(itertools.accumulate(
             (sec.nbytes for sec in layout), initial=len(head)))
-        data = _body(fh, starts[-1])
-    for sec, start in zip(layout, starts):
-        _check_factor_header(data, sec, start)
-    factors = [_read_factor(data, sec, start + struct.calcsize(_FACTOR_HEADER))
-               for sec, start in zip(layout, starts)]
+        _check_length(fh, starts[-1])
+        for sec, start in zip(layout, starts):
+            _check_factor_header(fh, sec, start)
+        factors = [_read_factor(fh, sec,
+                                start + struct.calcsize(_FACTOR_HEADER))
+                   for sec, start in zip(layout, starts)]
     mid = len(layout) // 2
     *g_chain, u_outer = reversed(factors[:mid])
     *h_chain, v_outer = factors[mid + 1:]
@@ -213,5 +227,5 @@ def read_vector(path) -> np.ndarray:
     with open(path, "rb") as fh:
         head = _head(fh, 8)
         (count,) = struct.unpack("<Q", head)
-        data = _body(fh, len(head) + 16 * count)
-    return np.frombuffer(data, "<c16", count, len(head)).astype(np.complex128)
+        _check_length(fh, len(head) + 16 * count)
+        return _read_into(fh, np.empty(count, np.complex128), len(head))

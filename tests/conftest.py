@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from butterfly import _pool
 from butterfly.factors import (ButterflyFactors, MiddleFactor, TransferFactor,
                                chain_geometry)
 
@@ -42,6 +43,11 @@ def random_exact_chain(p, r, rng) -> ButterflyFactors:
     weights = rng.uniform(0.5, 1.5, size=(p.mid_nodes, p.mid_nodes, r))
     return ButterflyFactors(p, r, u_outer, g_chain, MiddleFactor(weights),
                             h_chain, v_outer)
+
+
+def use_workers(monkeypatch, workers):
+    """Size every construction and apply pool to ``workers`` threads."""
+    monkeypatch.setattr(_pool, "worker_count", lambda: workers)
 
 
 @pytest.fixture

@@ -12,13 +12,14 @@ from butterfly import (DenseOracle, FioKernel, HankelKernel, OracleError,
                        middle_factorization_matvec,
                        middle_factorization_sampling, recursive_factor_u,
                        recursive_factor_v, truncated_svd)
-from butterfly import construct
+from butterfly import _pool, construct
 from butterfly.bench import build_operator
 from butterfly.construct import block_diagonal_probe
-from butterfly.factors import TransferFactor, chain_geometry
+from butterfly.factors import (ButterflyFactors, TransferFactor,
+                               chain_geometry)
 from butterfly.lowrank import at_dense_limit, floored_inverse
 
-from conftest import complex_gaussian, random_exact_chain
+from conftest import complex_gaussian, random_exact_chain, use_workers
 
 
 def middle_triple_dense(u_h, middle, v_h):
@@ -511,10 +512,6 @@ class LoggingOperatorOracle(LoggingEntryOracle):
         return self.inner.apply_adjoint(x)
 
 
-def _use_workers(monkeypatch, workers):
-    monkeypatch.setattr(construct, "_worker_count", lambda: workers)
-
-
 @pytest.mark.parametrize("mode, n, leaf, r", [
     ("sampling", 256, 0.25, 4),   # dense lines, truncated SVD
     ("sampling", 256, 1, 2),      # dense lines, sketched SVD
@@ -531,7 +528,7 @@ def test_oracles_are_called_from_the_calling_thread_in_serial_order(
         make = lambda: LoggingEntryOracle(FioKernel(n))  # noqa: E731
     logs = []
     for workers in (1, 3):
-        _use_workers(monkeypatch, workers)
+        use_workers(monkeypatch, workers)
         oracle = make()
         factorize(oracle, p, r, seed=0, mode=mode)
         logs.append(oracle.log)
@@ -542,17 +539,25 @@ def test_oracles_are_called_from_the_calling_thread_in_serial_order(
 
 @pytest.mark.parametrize("kernel, n, leaf, r, mode", [
     ("fio", 256, 0.25, 4, "sampling"), ("fio", 256, 1, 2, "sampling"),
-    ("composition", 128, 0.25, 4, "matvec")])
+    ("composition", 128, 0.25, 4, "matvec"),
+    # the inner chain's 128-vector applies run as pooled subtree groups
+    ("composition", 512, 0.5, 8, "matvec")])
 def test_factors_do_not_depend_on_the_worker_count(monkeypatch, kernel, n,
                                                    leaf, r, mode):
-    # the refactoring's group size follows the worker count, so this also
-    # covers different groupings of the middle nodes
+    # the refactoring's group size follows the worker count, and so does
+    # the group count of a pooled apply, so this also covers different
+    # groupings of the middle nodes
     p, oracle, _, mode = build_operator(kernel, n, r, leaf, mode, 0)
+    pooled = []
+    spy = ButterflyFactors._pooled
+    monkeypatch.setattr(ButterflyFactors, "_pooled",
+                        lambda *a: pooled.append(a[-1]) or spy(*a))
     built = []
     for workers in (1, 3):
-        _use_workers(monkeypatch, workers)
+        use_workers(monkeypatch, workers)
         built.append(factorize(oracle, p, r, seed=0, mode=mode))
     assert factors_equal(*built)
+    assert bool(pooled) == (n == 512)
 
 
 @pytest.mark.parametrize("where", ["first line", "last line", "oracle"])
@@ -560,7 +565,7 @@ def test_a_failure_leaves_no_thread_behind(monkeypatch, where):
     # FIO n=256 at leaf 0.25 has 32 block rows, each one truncated_svd call
     n, m = 256, 32
     threads = threading.active_count()
-    _use_workers(monkeypatch, 3)
+    use_workers(monkeypatch, 3)
     oracle, error, seen = FioKernel(n), np.linalg.LinAlgError, []
     lock = threading.Lock()
     if where == "oracle":
@@ -588,11 +593,11 @@ def test_a_failure_leaves_no_thread_behind(monkeypatch, where):
 
 def test_pool_size_shares_the_cpus_with_blas_threads(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
-    for var in construct._BLAS_THREAD_VARS:
+    for var in _pool.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    assert construct._worker_count() == 1  # BLAS default: every CPU a call
+    assert _pool.worker_count() == 1  # BLAS default: every CPU a call
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert construct._worker_count() == cpus
+    assert _pool.worker_count() == cpus
     # the library's own variable comes before OpenMP's
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert construct._worker_count() == max(1, cpus // min(2, cpus))
+    assert _pool.worker_count() == max(1, cpus // min(2, cpus))

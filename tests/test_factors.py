@@ -1,11 +1,14 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from butterfly import FioKernel, factorize, make_partition
+from butterfly import _pool, factors
+from butterfly.factors import ButterflyFactors
 
-from conftest import complex_gaussian, random_exact_chain
+from conftest import complex_gaussian, random_exact_chain, use_workers
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +28,22 @@ def test_apply_rejects_bad_length(fio_factors):
         fio_factors.apply(np.zeros(64))
     with pytest.raises(ValueError):
         fio_factors.apply_adjoint(np.zeros(64))
+
+
+@pytest.mark.parametrize("shape", [(), (128, 2, 3)], ids=["0-d", "3-d"])
+def test_apply_rejects_inputs_that_are_not_a_vector_or_a_block(fio_factors,
+                                                               shape):
+    # a 0-d input raised IndexError, and (n, 2, 3) came back as (n, 6)
+    for apply in (fio_factors.apply, fio_factors.apply_adjoint):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            apply(np.zeros(shape, dtype=complex))
+
+
+def test_apply_of_an_empty_block_is_an_empty_block(fio_factors):
+    for apply in (fio_factors.apply, fio_factors.apply_adjoint):
+        for dtype in (float, complex):
+            out = apply(np.zeros((128, 0), dtype=dtype))
+            assert out.shape == (128, 0) and out.dtype == np.complex128
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -171,28 +190,88 @@ def test_factor_by_factor_chain_equals_apply_bitwise(rng, width):
         assert np.array_equal(w, apply(g))
 
 
-def test_block_apply_peak_and_no_aliasing(rng):
-    # two work buffers as long as the widest level; the 64-vector apply read
-    # 3.25 times the widest level (109.1 MB) when every level allocated
-    n, width = 1024, 64
-    f = factorize(FioKernel(n), make_partition(n, 0.25), 8, seed=0)
+@pytest.fixture(scope="module")
+def fio_ref_factors():
+    n = 1024
+    return factorize(FioKernel(n), make_partition(n, 0.25), 8, seed=0)
+
+
+def test_block_apply_peak_and_no_aliasing(fio_ref_factors, rng, monkeypatch):
+    # one group: two work buffers as long as the widest level; the 64-vector
+    # apply read 3.25 times the widest level (109.1 MB) when every level
+    # allocated.  Pooled: the middle's input plus two buffers per running
+    # group, each a share of the widest level.
+    f, width = fio_ref_factors, 64
+    n = f.n
     widest = 16 * width * f.middle.shape[0]  # no level is wider
     g = complex_gaussian(rng, (n, width))
     kept = g.copy()
-    outs = []
-    for apply in (f.apply, f.apply_adjoint):
-        tracemalloc.start()
-        try:
-            outs.append(apply(g))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * widest
-    copies = [out.copy() for out in outs]
-    f.apply(g[:, ::-1])
-    f.apply_adjoint(g[:, ::-1])
-    assert np.array_equal(g, kept)
-    for out, copy in zip(outs, copies):
-        assert out.shape == (n, width) and not np.shares_memory(out, g)
-        assert np.array_equal(out, copy)
-    assert not np.shares_memory(*outs)
+    for workers in (1, 2, 4):
+        use_workers(monkeypatch, workers)
+        outs = []
+        for apply in (f.apply, f.apply_adjoint):
+            tracemalloc.start()
+            try:
+                outs.append(apply(g))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * widest
+        copies = [out.copy() for out in outs]
+        f.apply(g[:, ::-1])
+        f.apply_adjoint(g[:, ::-1])
+        assert np.array_equal(g, kept)
+        for out, copy in zip(outs, copies):
+            assert out.shape == (n, width) and not np.shares_memory(out, g)
+            assert np.array_equal(out, copy)
+        assert not np.shares_memory(*outs)
+
+
+@pytest.fixture(scope="module", params=[(1024, 0.25, 8), (512, 1, 6)],
+                ids=["m64", "m16"])
+def pooled_case(request, fio_ref_factors):
+    n, leaf, r = request.param
+    if n == 1024:
+        return fio_ref_factors
+    return factorize(FioKernel(n), make_partition(n, leaf), r, seed=0)
+
+
+@pytest.mark.parametrize("width", [1, 64, 130])
+def test_pooled_apply_equals_one_group_bitwise(pooled_case, rng, monkeypatch,
+                                               width):
+    # groups = min(m, 4 * workers, stored entries * vectors // cutoff); at
+    # m = 16 and 130 vectors that is 3 groups of 5, 5 and 6 middle nodes
+    f = pooled_case
+    g = complex_gaussian(rng, (f.n, width))
+    groups, pooled = [], ButterflyFactors._pooled
+    monkeypatch.setattr(ButterflyFactors, "_pooled",
+                        lambda *a: groups.append(a[-1]) or pooled(*a))
+    with pytest.MonkeyPatch.context() as one_group:
+        one_group.setattr(factors, "_GROUP_WORK", 10 ** 18)
+        want = [f.apply(g), f.apply_adjoint(g)]
+    assert not groups
+    work = width * f.nnz_report().total
+    for workers in (1, 2, 3, 4):
+        use_workers(monkeypatch, workers)
+        for out, one in zip((f.apply(g), f.apply_adjoint(g)), want):
+            assert np.array_equal(out, one)
+        rule = min(f.middle.m, 4 * workers, work // factors._GROUP_WORK)
+        assert groups == ([rule] * 2 if rule > 1 else [])
+        groups.clear()
+
+
+def test_apply_below_the_cutoff_starts_no_thread(monkeypatch, rng):
+    # fio-stream's tree: its 64-vector block stays one group, as do single
+    # vectors on any tree; neither reads the worker count
+    def refuse(*args):
+        raise AssertionError("the apply reached the pool")
+
+    n = 512
+    f = factorize(FioKernel(n), make_partition(n, 1), 6, seed=0)
+    assert 64 * f.nnz_report().total < 2 * factors._GROUP_WORK
+    monkeypatch.setattr(_pool, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(_pool, "worker_count", refuse)
+    for width in (1, 64):
+        g = complex_gaussian(rng, (n, width))
+        assert np.isfinite(f.apply(g)).all()
+        assert np.isfinite(f.apply_adjoint(g)).all()

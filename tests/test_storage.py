@@ -245,6 +245,23 @@ def test_save_holds_the_file_once(tmp_path):
     assert peak < 1.5 * path.stat().st_size
 
 
+def test_load_holds_the_file_once(tmp_path):
+    # each factor is read straight into its own array; reading the whole
+    # file into one bytes object and copying every factor out peaked at 2x
+    n = 256
+    f = factorize(FioKernel(n), make_partition(n, 0.25), 4, seed=0)
+    path = tmp_path / "f.bfac"
+    save_factors(f, path)
+    tracemalloc.start()
+    try:
+        loaded = load_factors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors_equal(loaded, f)
+    assert peak < 1.5 * path.stat().st_size
+
+
 @pytest.mark.parametrize("read, header", [
     (load_factors, _header()),
     (read_vector, struct.pack("<Q", 4)),
