@@ -1,7 +1,7 @@
-"""The thread pool that construction and the factor chain share.
-
-Work goes to the pool only as pure linear algebra on disjoint slices, so
-every result is bit-identical for any worker count.
+"""The thread pool that construction and the factor chain share, and the
+one rule that cuts their work into groups of middle nodes.  Work goes to
+the pool only as pure linear algebra on disjoint slices, so every result
+is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 #: stacks enough nodes that its batched calls outweigh dispatch.
 GROUPS_PER_WORKER = 4
 
+#: Stored entries times vectors that one group of an apply carries at least.
+#: On a 2-core host a split apply broke even with one group near 8 M
+#: (fio-stream at 73 vectors, composition at 18) and won from about 15 M
+#: (hankel at 64 vectors, 18.9 M: -16 %).
+_GROUP_WORK = 4_000_000
+
 
 def worker_count() -> int:
     """Threads of a pool: the CPUs this process may run on, shared out
@@ -39,6 +45,17 @@ def worker_count() -> int:
                   if os.environ.get(var, "").strip().isdigit()), "0")
     blas = int(limit) or cpus
     return max(1, cpus // min(blas, cpus))
+
+
+def spans(m: int, work=None) -> list:
+    """The ``(lo, hi)`` spans of m middle nodes that a stage runs as groups:
+    min(m, GROUPS_PER_WORKER x workers) of them, and for an apply of
+    ``work`` stored entries x vectors at most one per :data:`_GROUP_WORK`.
+    Below two such shares it is one span, found without the worker count."""
+    groups = m if work is None else max(1, min(m, work // _GROUP_WORK))
+    if groups > 1:
+        groups = min(groups, GROUPS_PER_WORKER * worker_count())
+    return [(m * i // groups, m * (i + 1) // groups) for i in range(groups)]
 
 
 def in_pool(*rounds) -> None:

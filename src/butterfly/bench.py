@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .construct import factorize
+from .construct import block_rng, factorize
 from .factors import ButterflyFactors
 from .kernels import ComposedOperator, FioKernel, HankelKernel
 from .lowrank import complex_normal
@@ -39,8 +39,7 @@ def derive_seed(seed: int, *key) -> int:
 
 def eps_rng(seed: int, row: int) -> np.random.Generator:
     """Generator of the eps_a sample of bench row ``row`` (verify: row 0)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_EPS_DOMAIN, row)))
+    return block_rng(seed, _EPS_DOMAIN, row)
 
 
 class RowSampledReference:

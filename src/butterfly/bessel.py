@@ -176,13 +176,6 @@ def bessel_y1(x):
     return out
 
 
-def bessel_jy_sweep(x, max_order: int):
-    """All orders 0..max_order of J and Y at each point of ``x``: the real
-    and imaginary parts of :func:`hankel1_orders`."""
-    h = hankel1_orders(x, np.arange(max_order + 1))
-    return h.real, h.imag
-
-
 def hankel1_orders(x, orders) -> np.ndarray:
     """H1_m(x) for each m in ``orders`` (any order, repeats allowed), shape
     (len(x), len(orders)).

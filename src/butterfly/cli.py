@@ -12,7 +12,7 @@ import numpy as np
 
 from .bench import (DEFAULT_LEAF, KERNELS, BenchConfig, build_operator,
                     check_sample_count, estimate_eps_a, eps_rng, run_bench)
-from .construct import factorize
+from .construct import check_seed, factorize
 from .kernels import DENSE_CAP, FioKernel, dense_matrix, dft_apply
 from .storage import load_factors, read_vector, save_factors, write_vector
 
@@ -36,12 +36,15 @@ def int_list(text: str) -> tuple:
     return tuple(int(v) for v in items)
 
 
-def sample_count(text: str) -> int:
-    """--samples, checked while the arguments are parsed, before any work."""
-    try:
-        return check_sample_count(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def checked_int(check):
+    """An integer flag passed through ``check`` while the arguments are
+    parsed, before any work; its ValueError is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            return check(int(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def tolerance(text: str) -> float:
@@ -61,7 +64,7 @@ def _add_problem_args(sub, lists: bool = False):
                          help="comma separated" if lists else None)
     sub.add_argument("--mode", default="sampling",
                      choices=("sampling", "matvec", "streaming"))
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=checked_int(check_seed), default=0)
     sub.add_argument("--leaf", type=float, default=DEFAULT_LEAF,
                      help="target leaf size of the dyadic trees")
 
@@ -84,7 +87,8 @@ def build_parser() -> _Parser:
 
     bench = subs.add_parser("bench", help="accuracy/timing table")
     _add_problem_args(bench, lists=True)
-    bench.add_argument("--samples", type=sample_count, default=256)
+    bench.add_argument("--samples", type=checked_int(check_sample_count),
+                       default=256)
     bench.add_argument("--format", default="json", choices=("json", "csv"))
     bench.add_argument("--out", default=None,
                        help="report file (stdout when omitted)")
@@ -92,7 +96,8 @@ def build_parser() -> _Parser:
     verify = subs.add_parser("verify",
                              help="dense comparison of a fresh factorization")
     _add_problem_args(verify)
-    verify.add_argument("--samples", type=sample_count, default=256)
+    verify.add_argument("--samples", type=checked_int(check_sample_count),
+                        default=256)
     verify.add_argument("--tol", type=tolerance, default=None,
                         help="exit 2 when eps_a exceeds this bound")
     return parser
@@ -133,13 +138,11 @@ def _cmd_bench(args) -> int:
             fh.write(text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
-    if any(row.error for row in report.rows):
-        for row in report.rows:
-            if row.error:
-                print(f"row (n={row.n}, r={row.r}) failed: {row.error}",
-                      file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    failed = [row for row in report.rows if row.error]
+    for row in failed:
+        print(f"row (n={row.n}, r={row.r}) failed: {row.error}",
+              file=sys.stderr)
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -26,10 +26,10 @@ already use several CPUs (see :mod:`butterfly._pool`).  Oracles are
 called only from the calling thread, in a fixed order: the caller reads
 each block line (and checks it for non-finite values) while at most one
 line per worker is compressed and placed in the pool, and the refactoring,
-which reads no oracle, runs groups of middle nodes side by side.  Every
-unit of work is computed as it would be alone, and a slice of a stacked
-LAPACK call equals the call on that slice, so the factors are bit-identical
-for any CPU count.
+which reads no oracle, runs the groups of middle nodes that
+:func:`butterfly._pool.spans` cuts side by side.  Every unit of work is
+computed as it would be alone, and a slice of a stacked LAPACK call equals
+the call on that slice, so the factors are bit-identical for any CPU count.
 
 Randomness is derived per block from the master seed (spawn keys carry the
 block coordinates), so results are independent of the schedule: the
@@ -58,6 +58,13 @@ _SAMPLING_DOMAIN = 0
 _COL_PROBE_DOMAIN = 1
 _ROW_PROBE_DOMAIN = 2
 _SKETCH_DOMAIN = 3
+
+def check_seed(seed):
+    """``seed`` if it is a non-negative integer (``None`` draws entropy)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
 
 def block_rng(seed, *key) -> np.random.Generator:
     """Independent generator for one construction sub-task."""
@@ -310,9 +317,8 @@ def recursive_factor_u(u_h: TransferFactor, p: DyadicPartition, r: int):
     m, side = p.mid_nodes, p.mid_side
     cur = u_h.blocks.reshape(m, side, m, r)
     levels = _level_arrays(p, r)
-    size = max(1, m // (_pool.GROUPS_PER_WORKER * _pool.worker_count()))
-    _pool.in_pool((_refactor, ((cur[k:k + size], levels, k)
-                               for k in range(0, m, size))))
+    _pool.in_pool((_refactor, ((cur[lo:hi], levels, lo)
+                               for lo, hi in _pool.spans(m))))
     return _side(p, r, levels)
 
 
@@ -332,6 +338,7 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
     """
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
+    check_seed(seed)
     if mode in ("sampling", "streaming") and not is_entry_oracle(oracle):
         raise ValueError(f"mode={mode!r} needs an entry oracle")
     if mode == "matvec" and not is_operator_oracle(oracle):

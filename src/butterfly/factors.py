@@ -13,11 +13,11 @@ min(r, rows per node), so the arrays hold no zero padding;
 
 Each side of the chain is a tree rooted at the m middle nodes: a group of
 middle nodes owns the same share of every level's blocks and of its input
-and output rows.  An apply that carries enough work (stored entries times
-vectors, against :data:`_GROUP_WORK`) runs such groups side by side on the
-construction pool; a smaller one, a single vector through most chains,
-runs on the calling thread.  Each block meets the same matmul call either
-way, so the output is bit-identical for any group or CPU count.
+and output rows, and an apply walks the chain group by group.  One group,
+a single vector through most chains, runs on the calling thread; more, as
+:func:`butterfly._pool.spans` cuts a larger apply, run side by side on the
+construction pool.  Each block meets the same matmul call either way, so
+the output is bit-identical for any group or CPU count.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ import numpy as np
 
 from . import _pool
 from .partition import DyadicPartition
-
-#: Stored entries times vectors that one group of an apply carries at least
-#: (see :meth:`ButterflyFactors._pooled`); below twice this the whole chain
-#: runs on the calling thread.  On a 2-core host a split apply broke even
-#: with one group near 8 M (fio-stream at 73 vectors, composition at 18) and
-#: won from about 15 M (hankel at 64 vectors, 18.9 M: -16 %).
-_GROUP_WORK = 4_000_000
-
 
 def chain_geometry(p: DyadicPartition, r: int):
     """Block shapes of one side of the chain for middle rank ``r``.
@@ -77,7 +69,8 @@ class TransferFactor:
     direction is one matmul: ``forward`` writes every product straight into
     its output node, ``adjoint`` sums over s inside the matmul.  With
     t = pairs = 1 it is block diagonal: the leaf U or V, or the middle-level
-    U or V before it is refactored.
+    U or V before it is refactored.  Given input nodes ``nodes``, either
+    direction reads only their rows and writes those of the nodes they feed.
     """
 
     level: int
@@ -95,15 +88,17 @@ class TransferFactor:
     def dense(self) -> np.ndarray:
         return self.forward(np.eye(self.shape[1], dtype=complex))
 
-    def forward(self, w: np.ndarray, out=None) -> np.ndarray:
-        nodes, pairs, t, k_out, two_k = self.blocks.shape
+    def forward(self, w: np.ndarray, out=None, nodes=None) -> np.ndarray:
+        blocks = self.blocks if nodes is None else self.blocks[nodes]
+        nb, pairs, t, k_out, two_k = blocks.shape
         nv = w.shape[-1]
-        res = _take(out, (nodes, t, pairs, k_out, nv))
-        np.matmul(self.blocks, w.reshape(nodes, pairs, 1, two_k, nv),
+        res = _take(out, (nb, t, pairs, k_out, nv))
+        np.matmul(blocks, w.reshape(nb, pairs, 1, two_k, nv),
                   out=res.swapaxes(1, 2))
         return res.reshape(-1, nv)
 
-    def adjoint(self, w: np.ndarray, out=None, work=None) -> np.ndarray:
+    def adjoint(self, w: np.ndarray, out=None, work=None,
+                nodes=None) -> np.ndarray:
         """sum_s blocks[:, :, s]* @ w[:, s]: one matmul per pair on its t
         input groups, gathered into ``work`` first, so ``out`` may hold ``w``.
 
@@ -111,16 +106,17 @@ class TransferFactor:
         conj(B^T conj(w)), so a single-vector apply copies no factor; a
         wider block conjugates the factor once rather than every vector.
         """
-        nodes, pairs, t, k_out, two_k = self.blocks.shape
+        blocks = self.blocks if nodes is None else self.blocks[nodes]
+        nb, pairs, t, k_out, two_k = blocks.shape
         nv = w.shape[-1]
         one = nv == 1
-        win = w.reshape(nodes, t, pairs, k_out, nv).swapaxes(1, 2)
+        win = w.reshape(nb, t, pairs, k_out, nv).swapaxes(1, 2)
         gathered = _take(work, win.shape)
         gathered[...] = win.conj() if one else win
-        stack = self.blocks.reshape(nodes, pairs, t * k_out, two_k)
+        stack = blocks.reshape(nb, pairs, t * k_out, two_k)
         bt = (stack if one else stack.conj()).swapaxes(-1, -2)
-        res = _take(out, (nodes, pairs, two_k, nv))
-        np.matmul(bt, gathered.reshape(nodes, pairs, t * k_out, nv), out=res)
+        res = _take(out, (nb, pairs, two_k, nv))
+        np.matmul(bt, gathered.reshape(nb, pairs, t * k_out, nv), out=res)
         if one:
             np.conjugate(res, out=res)
         return res.reshape(-1, nv)
@@ -185,8 +181,12 @@ class ButterflyFactors:
     v_outer: TransferFactor
 
     def __post_init__(self):
-        # the stored entries, which size the work of every apply
+        # the stored entries, which size the work of every apply, and the
+        # longest input or output of any factor, which sizes its buffers
         object.__setattr__(self, "_stored", self.nnz_report().total)
+        object.__setattr__(self, "_widest", max(
+            max(f.shape) for f in (*self.sides[0], *self.sides[1],
+                                   self.middle)))
 
     @property
     def n(self) -> int:
@@ -207,6 +207,17 @@ class ButterflyFactors:
         return self._chain(g, adjoint=True)
 
     def _chain(self, g: np.ndarray, adjoint: bool) -> np.ndarray:
+        """The chain as subtrees of the middle nodes: each group [lo, hi)
+        of :func:`butterfly._pool.spans` owns blocks [lo * s, hi * s) of
+        every level of s * m nodes and their rows, so every block meets the
+        same matmul call for any grouping.  A group runs its share of the
+        right side into its rows of the middle's input, then its rows of the
+        middle, which read every row, and its share of the left side, in two
+        buffers of its share of the widest level.  One group runs on the
+        calling thread, its middle input a view of its first buffer and its
+        result allocated by the last factor; more run as two pool rounds
+        into a shared middle input and result.
+        """
         g = np.asarray(g)
         if g.ndim not in (1, 2):
             raise ValueError(f"input of shape {g.shape}: expected a vector "
@@ -222,77 +233,46 @@ class ButterflyFactors:
             raise ValueError(f"input row {row} holds NaN or inf")
         left, right = self.sides[::-1] if adjoint else self.sides
         middle = self.middle.adjoint if adjoint else self.middle.forward
-        groups = w.shape[1] * self._stored // _GROUP_WORK
-        if groups > 1:
-            groups = min(self.middle.m, groups,
-                         _pool.GROUPS_PER_WORKER * _pool.worker_count())
-        if groups > 1:
-            w = self._pooled(w, left, middle, right, groups)
-        else:
-            w = self._serial(w, left, middle, right)
-        return w[:, 0] if vec else w
-
-    def _serial(self, w, left, middle, right) -> np.ndarray:
-        # Two buffers of the widest level: an adjoint gathers a into b and
-        # writes back over a, the middle and each forward write into the
-        # other one, and the last factor allocates the result.
-        widest = max(max(f.shape) for f in (*left, *right, self.middle))
-        a = np.empty(w.shape[1] * widest, np.complex128)
-        b = np.empty_like(a)
-        for tf in reversed(right):
-            w = tf.adjoint(w, out=a, work=b)
-        for op in (middle, *(tf.forward for tf in left[:-1])):
-            w = op(w, out=b)
-            a, b = b, a
-        return left[-1].forward(w)
-
-    def _pooled(self, w, left, middle, right, groups) -> np.ndarray:
-        """The chain as independent subtrees of the middle nodes, in two
-        pool rounds: each group of middle nodes runs its share of the right
-        side into its rows of the middle's input, then its rows of the
-        middle, which read every row, and its share of the left side.
-
-        Group [lo, hi) owns blocks [lo * s, hi * s) of every level of
-        s * m nodes and the matching rows of each level's input and output,
-        so every block meets the same matmul as in :meth:`_serial`: the
-        same bits for any grouping.  A running group holds two buffers of
-        its own widest level besides the shared middle input, and the pool
-        runs one group per worker at a time.
-        """
         m, nv = self.middle.m, w.shape[1]
-        cuts = [m * i // groups for i in range(groups + 1)]
-        mid = np.empty((self.middle.shape[0], nv), dtype=np.complex128)
-        res = np.empty((self.n, nv), dtype=np.complex128)
+        spans = _pool.spans(m, nv * self._stored)
 
         def rows(x, lo, hi):
-            return x[lo * len(x) // m:hi * len(x) // m]
+            return slice(lo * len(x) // m, hi * len(x) // m)
 
-        def share(factors, lo, hi):
-            parts = [TransferFactor(tf.level, rows(tf.blocks, lo, hi))
-                     for tf in factors]
-            widest = max(len(rows(mid, lo, hi)),
-                         *(max(tf.shape) for tf in parts))
-            a = np.empty(nv * widest, np.complex128)
-            return parts, a, np.empty_like(a)
+        def nodes(tf, lo, hi):  # one group takes whole factors: no view a call
+            return None if held else rows(tf.blocks, lo, hi)
+
+        def buffers(lo, hi):
+            a = np.empty(nv * (self._widest * (hi - lo) // m), np.complex128)
+            return a, np.empty_like(a)
+
+        held = buffers(0, m) if len(spans) == 1 else None
+        mid = _take(held[0] if held else None, (self.middle.shape[0] * nv,))
+        res = None if held else np.empty((self.n, nv), np.complex128)
 
         def right_side(lo, hi):
-            (*first, last), a, b = share(right[::-1], lo, hi)
-            x = rows(w, lo, hi)
-            for tf in first:
-                x = tf.adjoint(x, out=a, work=b)
-            last.adjoint(x, out=rows(mid, lo, hi).reshape(-1), work=b)
+            a, b = held or buffers(lo, hi)
+            x = w[rows(w, lo, hi)]
+            for tf in right[::-1]:  # the last one into the middle's input
+                out = mid[rows(mid, lo, hi)] if tf is right[0] else a
+                x = tf.adjoint(x, out=out, work=b, nodes=nodes(tf, lo, hi))
 
         def left_side(lo, hi):
-            (*first, last), a, b = share(left, lo, hi)
+            a, b = held or buffers(lo, hi)
+            *first, last = left
             x = middle(mid, out=b, nodes=slice(lo, hi))
             for tf in first:
-                x = tf.forward(x, out=a)
+                x = tf.forward(x, out=a, nodes=nodes(tf, lo, hi))
                 a, b = b, a
-            last.forward(x, out=rows(res, lo, hi).reshape(-1))
+            out = None if held else res[rows(res, lo, hi)].reshape(-1)
+            return last.forward(x, out=out, nodes=nodes(last, lo, hi))
 
-        spans = list(zip(cuts, cuts[1:]))
-        _pool.in_pool((right_side, spans), (left_side, spans))
-        return res
+        if held:
+            right_side(0, m)
+            res = left_side(0, m)
+        else:
+            _pool.in_pool((right_side, spans), (left_side, spans))
+        return res[:, 0] if vec else res
 
     def dense(self) -> np.ndarray:
         """Materialize the factored operator (tests and verify only)."""

@@ -21,7 +21,7 @@ from butterfly import (ComposedOperator, DenseOracle, FioKernel,
                        make_partition, randomized_sampling_svd,
                        randomized_svd, save_factors, truncated_svd)
 from butterfly.bench import derive_seed
-from butterfly.bessel import bessel_jy_sweep
+from butterfly.bessel import hankel1_orders
 from butterfly.construct import block_rng
 
 from conftest import complex_gaussian, prescribed_svd_matrix, \
@@ -275,7 +275,8 @@ def test_criterion_8_engine_and_special_function_checks():
     n = 1024
     sample = np.random.default_rng(81)
     xs = np.unique(n + (2 * np.pi / 3) * sample.integers(0, n, size=100))
-    js, ys = bessel_jy_sweep(xs, n - 1)
+    h = hankel1_orders(xs, np.arange(n))
+    js, ys = h.real, h.imag
     orders = sample.integers(0, n - 1, size=100)
     wronskian_worst = 0.0
     for k, m in zip(sample.integers(0, xs.size, size=100), orders):

@@ -103,6 +103,23 @@ def test_verify_rejects_an_empty_sample(monkeypatch, capsys):
     assert "sample_count must be at least 1, got 0" in captured.err
 
 
+@pytest.mark.parametrize("command", ["factor", "verify", "bench"])
+def test_a_negative_seed_is_a_usage_error(monkeypatch, capsys, tmp_path,
+                                          command):
+    # factor exited 0 on --seed -1 (every line of this tree is truncated,
+    # so no draw saw it), while verify failed later with numpy's error
+    _no_factorization(monkeypatch)
+    problem = ("--n", "256", "--rank", "4") if command != "bench" else (
+        "--n-list", "256", "--rank-list", "4")
+    out = ("--out", str(tmp_path / "k.bfac")) if command == "factor" else ()
+    assert run(command, "--kernel", "fio", *problem, "--leaf", "1",
+               "--seed", "-1", *out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: seed must be a non-negative integer, got -1" \
+        in captured.err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1e-3", "-inf"])
 def test_verify_rejects_a_tolerance_that_passes_nothing_or_everything(
         monkeypatch, capsys, tol):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,8 +16,7 @@ from butterfly import (DenseOracle, FioKernel, HankelKernel, OracleError,
 from butterfly import _pool, construct
 from butterfly.bench import build_operator
 from butterfly.construct import block_diagonal_probe
-from butterfly.factors import (ButterflyFactors, TransferFactor,
-                               chain_geometry)
+from butterfly.factors import TransferFactor, chain_geometry
 from butterfly.lowrank import at_dense_limit, floored_inverse
 
 from conftest import complex_gaussian, random_exact_chain, use_workers
@@ -537,6 +537,25 @@ def test_oracles_are_called_from_the_calling_thread_in_serial_order(
     assert [call[1:] for call in pooled] == [call[1:] for call in serial]
 
 
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "0"])
+@pytest.mark.parametrize("mode", ["sampling", "streaming"])
+def test_factorize_rejects_a_seed_that_is_not_a_non_negative_integer(mode,
+                                                                     seed):
+    # None drew fresh entropy per sketched block, so two builds differed;
+    # -1 passed on truncated lines and failed on sketched ones in the pool
+    n = 256
+    oracle = LoggingEntryOracle(FioKernel(n))
+    with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+        factorize(oracle, make_partition(n, 1), 4, seed=seed, mode=mode)
+    assert not oracle.log
+
+
+def test_factorize_takes_a_numpy_integer_seed():
+    n, p = 128, make_partition(128, 1)
+    assert factors_equal(factorize(FioKernel(n), p, 2, seed=np.uint32(5)),
+                         factorize(FioKernel(n), p, 2, seed=5))
+
+
 @pytest.mark.parametrize("kernel, n, leaf, r, mode", [
     ("fio", 256, 0.25, 4, "sampling"), ("fio", 256, 1, 2, "sampling"),
     ("composition", 128, 0.25, 4, "matvec"),
@@ -548,10 +567,15 @@ def test_factors_do_not_depend_on_the_worker_count(monkeypatch, kernel, n,
     # the group count of a pooled apply, so this also covers different
     # groupings of the middle nodes
     p, oracle, _, mode = build_operator(kernel, n, r, leaf, mode, 0)
-    pooled = []
-    spy = ButterflyFactors._pooled
-    monkeypatch.setattr(ButterflyFactors, "_pooled",
-                        lambda *a: pooled.append(a[-1]) or spy(*a))
+    pooled, spans = [], _pool.spans
+
+    def spy(m, work=None):
+        cut = spans(m, work)
+        if work is not None and len(cut) > 1:  # an apply split into groups
+            pooled.append(len(cut))
+        return cut
+
+    monkeypatch.setattr(_pool, "spans", spy)
     built = []
     for workers in (1, 3):
         use_workers(monkeypatch, workers)

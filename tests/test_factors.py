@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from butterfly import FioKernel, factorize, make_partition
-from butterfly import _pool, factors
-from butterfly.factors import ButterflyFactors
+from butterfly import _pool
 
 from conftest import complex_gaussian, random_exact_chain, use_workers
 
@@ -196,44 +195,51 @@ def fio_ref_factors():
     return factorize(FioKernel(n), make_partition(n, 0.25), 8, seed=0)
 
 
-def test_block_apply_peak_and_no_aliasing(fio_ref_factors, rng, monkeypatch):
-    # one group: two work buffers as long as the widest level; the 64-vector
-    # apply read 3.25 times the widest level (109.1 MB) when every level
-    # allocated.  Pooled: the middle's input plus two buffers per running
-    # group, each a share of the widest level.
-    f, width = fio_ref_factors, 64
-    n = f.n
-    widest = 16 * width * f.middle.shape[0]  # no level is wider
-    g = complex_gaussian(rng, (n, width))
-    kept = g.copy()
-    for workers in (1, 2, 4):
-        use_workers(monkeypatch, workers)
-        outs = []
-        for apply in (f.apply, f.apply_adjoint):
-            tracemalloc.start()
-            try:
-                outs.append(apply(g))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2.5 * widest
-        copies = [out.copy() for out in outs]
-        f.apply(g[:, ::-1])
-        f.apply_adjoint(g[:, ::-1])
-        assert np.array_equal(g, kept)
-        for out, copy in zip(outs, copies):
-            assert out.shape == (n, width) and not np.shares_memory(out, g)
-            assert np.array_equal(out, copy)
-        assert not np.shares_memory(*outs)
+@pytest.fixture(scope="module")
+def fio_stream_factors():
+    n = 512
+    return factorize(FioKernel(n), make_partition(n, 1), 6, seed=0)
 
 
-@pytest.fixture(scope="module", params=[(1024, 0.25, 8), (512, 1, 6)],
-                ids=["m64", "m16"])
-def pooled_case(request, fio_ref_factors):
-    n, leaf, r = request.param
-    if n == 1024:
-        return fio_ref_factors
-    return factorize(FioKernel(n), make_partition(n, leaf), r, seed=0)
+def test_block_apply_peak_and_no_aliasing(fio_ref_factors, fio_stream_factors,
+                                          rng, monkeypatch):
+    # one group: two work buffers as long as the widest level, the middle's
+    # input a view of one of them and the result allocated last; the
+    # 64-vector apply read 3.25 times the widest level (109.1 MB) when
+    # every level allocated.  Split: the middle's input and the result
+    # plus two buffers per running group, each a share of the widest level.
+    for f, width, counts, bound in (
+            (fio_ref_factors, 64, (1, 2, 4), 2.5),  # 4 to 16 groups
+            (fio_stream_factors, 64, (1, 2, 4), 2.5),  # one group
+            (fio_stream_factors, 130, (2,), 3.0)):  # 3 groups
+        n = f.n
+        widest = 16 * width * f.middle.shape[0]  # no level is wider
+        g = complex_gaussian(rng, (n, width))
+        kept = g.copy()
+        for workers in counts:
+            use_workers(monkeypatch, workers)
+            outs = []
+            for apply in (f.apply, f.apply_adjoint):
+                tracemalloc.start()
+                try:
+                    outs.append(apply(g))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= bound * widest
+            copies = [out.copy() for out in outs]
+            f.apply(g[:, ::-1])
+            f.apply_adjoint(g[:, ::-1])
+            assert np.array_equal(g, kept)
+            for out, copy in zip(outs, copies):
+                assert out.shape == (n, width) and not np.shares_memory(out, g)
+                assert np.array_equal(out, copy)
+            assert not np.shares_memory(*outs)
+
+
+@pytest.fixture(scope="module", params=["m64", "m16"])
+def pooled_case(request, fio_ref_factors, fio_stream_factors):
+    return fio_ref_factors if request.param == "m64" else fio_stream_factors
 
 
 @pytest.mark.parametrize("width", [1, 64, 130])
@@ -243,35 +249,41 @@ def test_pooled_apply_equals_one_group_bitwise(pooled_case, rng, monkeypatch,
     # m = 16 and 130 vectors that is 3 groups of 5, 5 and 6 middle nodes
     f = pooled_case
     g = complex_gaussian(rng, (f.n, width))
-    groups, pooled = [], ButterflyFactors._pooled
-    monkeypatch.setattr(ButterflyFactors, "_pooled",
-                        lambda *a: groups.append(a[-1]) or pooled(*a))
+    groups, spans = [], _pool.spans
+
+    def spy(m, work=None):
+        cut = spans(m, work)
+        groups.append(len(cut))
+        return cut
+
+    monkeypatch.setattr(_pool, "spans", spy)
     with pytest.MonkeyPatch.context() as one_group:
-        one_group.setattr(factors, "_GROUP_WORK", 10 ** 18)
+        one_group.setattr(_pool, "_GROUP_WORK", 10 ** 18)
         want = [f.apply(g), f.apply_adjoint(g)]
-    assert not groups
+    assert groups == [1, 1]
+    groups.clear()
     work = width * f.nnz_report().total
     for workers in (1, 2, 3, 4):
         use_workers(monkeypatch, workers)
         for out, one in zip((f.apply(g), f.apply_adjoint(g)), want):
             assert np.array_equal(out, one)
-        rule = min(f.middle.m, 4 * workers, work // factors._GROUP_WORK)
-        assert groups == ([rule] * 2 if rule > 1 else [])
+        rule = min(f.middle.m, 4 * workers, work // _pool._GROUP_WORK)
+        assert groups == [max(rule, 1)] * 2
         groups.clear()
 
 
-def test_apply_below_the_cutoff_starts_no_thread(monkeypatch, rng):
+def test_apply_below_the_cutoff_starts_no_thread(fio_stream_factors,
+                                                 monkeypatch, rng):
     # fio-stream's tree: its 64-vector block stays one group, as do single
     # vectors on any tree; neither reads the worker count
     def refuse(*args):
         raise AssertionError("the apply reached the pool")
 
-    n = 512
-    f = factorize(FioKernel(n), make_partition(n, 1), 6, seed=0)
-    assert 64 * f.nnz_report().total < 2 * factors._GROUP_WORK
+    f = fio_stream_factors
+    assert 64 * f.nnz_report().total < 2 * _pool._GROUP_WORK
     monkeypatch.setattr(_pool, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(_pool, "worker_count", refuse)
     for width in (1, 64):
-        g = complex_gaussian(rng, (n, width))
+        g = complex_gaussian(rng, (f.n, width))
         assert np.isfinite(f.apply(g)).all()
         assert np.isfinite(f.apply_adjoint(g)).all()
