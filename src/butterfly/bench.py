@@ -124,8 +124,7 @@ class BenchConfig:
     target_leaf: float = DEFAULT_LEAF
 
     def __post_init__(self):
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; pick from {KERNELS}")
+        _check_kernel_mode(self.kernel, self.mode)
         if not self.n_list or not self.rank_list:
             raise ValueError("n_list and rank_list must not be empty, got "
                              f"{self.n_list!r} and {self.rank_list!r}")
@@ -169,15 +168,24 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _check_kernel_mode(kernel: str, mode: str) -> None:
+    """Reject an unknown kernel, or a mode its oracle cannot run: fio and
+    hankel are entry oracles, composition an operator oracle (run in
+    matvec mode under ``sampling`` too)."""
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; pick from {KERNELS}")
+    if mode == ("streaming" if kernel == "composition" else "matvec"):
+        raise ValueError(f"kernel {kernel} cannot run mode={mode!r}")
+
+
 def build_operator(kernel: str, n: int, r: int, leaf: float, mode: str,
                    seed: int):
     """(partition, oracle, reference, effective mode) of one problem."""
+    _check_kernel_mode(kernel, mode)
     p = make_partition(n, leaf)
     if kernel in ("fio", "hankel"):
         entry = (FioKernel if kernel == "fio" else HankelKernel)(n)
         return p, entry, RowSampledReference(entry), mode
-    if kernel != "composition":
-        raise ValueError(f"unknown kernel {kernel!r}; pick from {KERNELS}")
     inner = factorize(FioKernel(n), p, r,
                       seed=derive_seed(seed, _INNER_DOMAIN), mode="sampling")
     composed = ComposedOperator(inner)

@@ -13,8 +13,9 @@ rank-r triples, and one assembler places every line whatever the mode.
   oracle is ``whole_rows``, so it never holds a side x n line;
 * entry oracle above the dense limit -- the randomized sampling engine
   block by block, its results stacked;
-* operator oracle -- one application of K and one of K* for the whole
-  level, then one stacked probe finish per block row.
+* operator oracle -- K and K* applied to block-diagonal Gaussian probes,
+  one application of each per 128 probe columns, built slice by slice
+  from the m diagonal blocks; then one stacked probe finish per block row.
 
 Stage two recursively refactors the left and right factors level by level,
 splitting rows and merging sibling column groups, until the leaf level.
@@ -204,39 +205,34 @@ def _middle_level(p: DyadicPartition, r: int, lines):
 
 def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization through an entry oracle, by block row."""
+    check_seed(seed)
     m, _ = _middle_shapes(p, r)
     return _middle_level(p, r, (_entry_line(entry, p, r, seed, i)
                                 for i in range(m)))
 
 
-def _apply_chunked(apply_fn, block: np.ndarray) -> np.ndarray:
-    chunk = 128  # probe columns per operator application
-    if block.shape[1] <= chunk:
-        return apply_fn(block)
-    return np.concatenate([apply_fn(block[:, c:c + chunk])
-                           for c in range(0, block.shape[1], chunk)], axis=1)
+def _probe_products(apply_fn, probe: np.ndarray) -> np.ndarray:
+    """``apply_fn`` of the block-diagonal probe whose diagonal blocks are
+    ``probe`` (m, side, width), a slice of 128 columns built per call, as
+    (m, side, m, width): [output node, row, probe node, column]."""
+    m, side, width = probe.shape
+    out = np.empty((m * side, m * width), dtype=np.complex128)
+    for lo in range(0, m * width, 128):  # probe columns per application
+        cols = np.arange(lo, min(lo + 128, m * width))
+        piece = np.zeros((m, side, cols.size), dtype=np.complex128)
+        nodes = cols // width
+        piece[nodes, :, cols - lo] = probe[nodes, :, cols % width]
+        out[:, lo:lo + cols.size] = apply_fn(piece.reshape(m * side, -1))
+    return out.reshape(m, side, m, width)
 
 
-def block_diagonal_probe(p: DyadicPartition, width: int, seed, domain) -> np.ndarray:
-    """Gaussian probe with one (side x width) block per middle node."""
-    m, side = p.mid_nodes, p.mid_side
-    probe = np.zeros((p.n, m * width), dtype=np.complex128)
-    for j in range(m):
-        rng = block_rng(seed, domain, j)
-        probe[j * side:(j + 1) * side, j * width:(j + 1) * width] = \
-            complex_normal(rng, (side, width))
-    return probe
-
-
-def _check_probe_products(k_cols, k_rows, m, side, width):
+def _check_probe_products(k_cols, k_rows):
     """Raise OracleError naming the first block whose probe products are
     not finite; a block bad on both sides is named first, since a single
     bad operator entry spreads along a whole block row of K C (and column
     of K* R) through the zero parts of the probes."""
-    def bad(y):  # [row node, probe group]
-        return ~np.isfinite(y).reshape(m, side, m, width).all(axis=(1, 3))
-
-    bad_cols, bad_rows = bad(k_cols), bad(k_rows).T
+    bad_cols = ~np.isfinite(k_cols).all(axis=(1, 3))  # [output, probe node]
+    bad_rows = ~np.isfinite(k_rows).all(axis=(1, 3)).T
     if bad_cols.any() or bad_rows.any():
         both = bad_cols & bad_rows
         i, j = np.argwhere(both if both.any() else bad_cols | bad_rows)[0]
@@ -247,29 +243,27 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization from black-box applications of K and K*.
 
     One structured probe per side feeds every middle block: the column probe
-    shares its diagonal block across all block rows, so a single application
-    of the operator covers the whole level.  Each block row is finished from
-    the stored products alone, in one stacked pass.
+    shares its diagonal block across all block rows, so each application
+    of the operator to a slice of it covers the whole level.  Each block
+    row is finished from the stored products alone, in one stacked pass.
     """
+    check_seed(seed)
     m, side = _middle_shapes(p, r)
     width = min(r + PROBE_OVERSAMPLING, side)  # whole blocks once they are small
-    col_probe = block_diagonal_probe(p, width, seed, _COL_PROBE_DOMAIN)
-    row_probe = block_diagonal_probe(p, width, seed, _ROW_PROBE_DOMAIN)
+    col_probe, row_probe = (
+        np.stack([complex_normal(block_rng(seed, domain, j), (side, width))
+                  for j in range(m)])
+        for domain in (_COL_PROBE_DOMAIN, _ROW_PROBE_DOMAIN))
     try:
-        k_cols = _apply_chunked(op.apply, col_probe)
-        k_rows = _apply_chunked(op.apply_adjoint, row_probe)
+        k_cols = _probe_products(op.apply, col_probe)
+        k_rows = _probe_products(op.apply_adjoint, row_probe)
     except Exception as exc:
         raise OracleError("operator oracle failed on the probe block") from exc
-    _check_probe_products(k_cols, k_rows, m, side, width)
+    _check_probe_products(k_cols, k_rows)
 
-    def line(i):
-        rows = slice(i * side, (i + 1) * side)
-        group = slice(i * width, (i + 1) * width)
-        y_col = k_cols[rows].reshape(side, m, width).swapaxes(0, 1)
-        y_row = k_rows[:, group].reshape(m, side, width)
-        return svd_from_probes(y_col, y_row, row_probe[rows, group], r)
-
-    return _middle_level(p, r, (partial(line, i) for i in range(m)))
+    lines = (partial(svd_from_probes, k_cols[i].swapaxes(0, 1),
+                     k_rows[:, :, i], row_probe[i], r) for i in range(m))
+    return _middle_level(p, r, lines)
 
 
 def _refactor(cur: np.ndarray, levels, first: int) -> None:
@@ -357,6 +351,7 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
         raise ValueError(f"unknown mode {mode!r}")
 
     u_outer, g_chain = recursive_factor_u(u_h, p, r)
+    del u_h  # the middle-level U, n m r entries, is not needed for V
     v_outer, h_chain = recursive_factor_v(v_h, p, r)
     return ButterflyFactors(p, r, u_outer, g_chain, middle, h_chain, v_outer)
 

@@ -102,24 +102,20 @@ class TransferFactor:
         """sum_s blocks[:, :, s]* @ w[:, s]: one matmul per pair on its t
         input groups, gathered into ``work`` first, so ``out`` may hold ``w``.
 
-        One vector is conjugated instead of the blocks, B* w =
-        conj(B^T conj(w)), so a single-vector apply copies no factor; a
-        wider block conjugates the factor once rather than every vector.
+        The vectors are conjugated instead of the blocks, B* w =
+        conj(B^T conj(w)): the gather conjugates and the result is
+        conjugated in place, so no call copies the factor.
         """
         blocks = self.blocks if nodes is None else self.blocks[nodes]
         nb, pairs, t, k_out, two_k = blocks.shape
         nv = w.shape[-1]
-        one = nv == 1
         win = w.reshape(nb, t, pairs, k_out, nv).swapaxes(1, 2)
         gathered = _take(work, win.shape)
-        gathered[...] = win.conj() if one else win
-        stack = blocks.reshape(nb, pairs, t * k_out, two_k)
-        bt = (stack if one else stack.conj()).swapaxes(-1, -2)
+        np.conjugate(win, out=gathered)
+        bt = blocks.reshape(nb, pairs, t * k_out, two_k).swapaxes(-1, -2)
         res = _take(out, (nb, pairs, two_k, nv))
         np.matmul(bt, gathered.reshape(nb, pairs, t * k_out, nv), out=res)
-        if one:
-            np.conjugate(res, out=res)
-        return res.reshape(-1, nv)
+        return np.conjugate(res, out=res).reshape(-1, nv)
 
 
 @dataclass(frozen=True)

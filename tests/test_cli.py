@@ -120,6 +120,38 @@ def test_a_negative_seed_is_a_usage_error(monkeypatch, capsys, tmp_path,
         in captured.err
 
 
+@pytest.mark.parametrize("command", ["factor", "verify", "bench"])
+@pytest.mark.parametrize("kernel, mode", [
+    ("fio", "matvec"), ("hankel", "matvec"), ("composition", "streaming")])
+def test_a_mode_the_kernel_cannot_run_is_a_usage_error(
+        monkeypatch, capsys, tmp_path, command, kernel, mode):
+    # bench reported such a row as a numerical failure (exit 2), verify
+    # exited 1 and composition ran matvec in place of streaming (exit 0);
+    # the pair is rejected before the inner chain of composition is built
+    _no_factorization(monkeypatch)
+    problem = ("--n", "64", "--rank", "2") if command != "bench" else (
+        "--n-list", "64", "--rank-list", "2")
+    out = ("--out", str(tmp_path / "k.bfac")) if command == "factor" else ()
+    assert run(command, "--kernel", kernel, *problem, "--mode", mode,
+               *out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"kernel {kernel} cannot run mode='{mode}'" in captured.err
+
+
+def test_composition_runs_matvec_under_the_default_mode(monkeypatch):
+    modes = []
+
+    def factorize(oracle, p, r, seed, mode):
+        modes.append(mode)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "factorize", factorize)
+    assert run("verify", "--kernel", "composition", "--n", "64",
+               "--rank", "2") == 1
+    assert modes == ["matvec"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1e-3", "-inf"])
 def test_verify_rejects_a_tolerance_that_passes_nothing_or_everything(
         monkeypatch, capsys, tol):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from butterfly import (DenseOracle, FioKernel, HankelKernel, OracleError,
                        recursive_factor_v, truncated_svd)
 from butterfly import _pool, construct
 from butterfly.bench import build_operator
-from butterfly.construct import block_diagonal_probe
 from butterfly.factors import TransferFactor, chain_geometry
 from butterfly.lowrank import at_dense_limit, floored_inverse
 
@@ -103,12 +103,24 @@ def test_middle_matvec_fio_accuracy():
     assert err / np.linalg.norm(k) <= 1e-3
 
 
-def test_probe_shape():
-    p = make_partition(64, 1)
-    width = 4 + 5
-    probe = block_diagonal_probe(p, width, seed=0, domain=1)
-    assert probe.shape == (64, p.mid_nodes * width)
-    assert np.count_nonzero(probe) == 64 * width
+def test_probe_products_match_the_dense_block_diagonal_probe(rng):
+    # 16 blocks of width 13 (r=8): 208 probe columns, applied as slices of
+    # 128 and 80 that cut block 9 in two
+    n, m, side, width = 256, 16, 16, 13
+    k = complex_gaussian(rng, (n, n))
+    probe = complex_gaussian(rng, (m, side, width))
+    dense = np.zeros((n, m * width), dtype=complex)
+    for j in range(m):
+        dense[j * side:(j + 1) * side, j * width:(j + 1) * width] = probe[j]
+    oracle = LoggingOperatorOracle(DenseOracle(k))
+    got = construct._probe_products(oracle.apply, probe)
+    want = (k @ dense).reshape(m, side, m, width)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    applied = [np.frombuffer(call[2], complex).reshape(n, -1)
+               for call in oracle.log]
+    assert [a.shape[1] for a in applied] == [128, 80]
+    assert np.array_equal(np.hstack(applied), dense)
 
 
 def test_recursion_zero_input():
@@ -335,6 +347,26 @@ def test_streaming_peak_memory_near_factor_bytes():
     assert peak <= 1.25 * held
 
 
+def test_sampling_peak_memory_near_factor_bytes(monkeypatch):
+    # fio-ref geometry on two workers: the middle-level U (n m r entries)
+    # is freed once it is refactored, before V is, so the traced peak
+    # reads 1.46x the factors (1.76x while U lived on)
+    n = 1024
+    p = make_partition(n, 0.25)
+    use_workers(monkeypatch, 2)
+    factorize(FioKernel(n), p, 8, seed=0)  # warm up, as above
+    tracemalloc.start()
+    try:
+        f = factorize(FioKernel(n), p, 8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = f.middle.weights.nbytes + sum(
+        tf.blocks.nbytes for tf in (f.u_outer, *f.g_chain, *f.h_chain,
+                                    f.v_outer))
+    assert peak <= 1.6 * held
+
+
 @pytest.mark.slow
 def test_sketched_factors_identical_across_blas_threads(tmp_path):
     # n=4096, leaf 1, r=4 compresses its 64 x 64 blocks by the sketched SVD
@@ -537,16 +569,23 @@ def test_oracles_are_called_from_the_calling_thread_in_serial_order(
     assert [call[1:] for call in pooled] == [call[1:] for call in serial]
 
 
+_STAGES = {"middle_sampling": middle_factorization_sampling,
+           "middle_matvec": middle_factorization_matvec}
+
+
 @pytest.mark.parametrize("seed", [None, -1, 1.5, "0"])
-@pytest.mark.parametrize("mode", ["sampling", "streaming"])
+@pytest.mark.parametrize("mode", ["sampling", "streaming", "matvec",
+                                  *_STAGES])
 def test_factorize_rejects_a_seed_that_is_not_a_non_negative_integer(mode,
                                                                      seed):
     # None drew fresh entropy per sketched block, so two builds differed;
-    # -1 passed on truncated lines and failed on sketched ones in the pool
+    # -1 passed on truncated lines and failed on sketched ones in the pool.
+    # The stage functions check it too, before any oracle call
     n = 256
-    oracle = LoggingEntryOracle(FioKernel(n))
+    oracle = LoggingOperatorOracle(DenseOracle(dense_matrix(FioKernel(n), n)))
+    build = _STAGES.get(mode, partial(factorize, mode=mode))
     with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
-        factorize(oracle, make_partition(n, 1), 4, seed=seed, mode=mode)
+        build(oracle, make_partition(n, 1), 4, seed=seed)
     assert not oracle.log
 
 
