@@ -20,10 +20,10 @@ rank-r triples, and one assembler places every line whatever the mode.
 Stage two recursively refactors the left and right factors level by level,
 splitting rows and merging sibling column groups, until the leaf level.
 
-Each public stage function runs its pure linear algebra on a thread pool
-that it creates and joins itself: one thread per CPU the process may run
-on when BLAS is limited to one thread, fewer when each BLAS call may
-already use several CPUs (see :mod:`butterfly._pool`).  Oracles are
+Each public stage function runs its pure linear algebra on the thread
+pool that the process keeps: one thread per CPU the process may run on
+when BLAS is limited to one thread, fewer when each BLAS call may already
+use several CPUs (see :mod:`butterfly._pool`).  Oracles are
 called only from the calling thread, in a fixed order: the caller reads
 each block line (and checks it for non-finite values) while at most one
 line per worker is compressed and placed in the pool, and the refactoring,

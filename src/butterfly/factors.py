@@ -14,10 +14,12 @@ min(r, rows per node), so the arrays hold no zero padding;
 Each side of the chain is a tree rooted at the m middle nodes: a group of
 middle nodes owns the same share of every level's blocks and of its input
 and output rows, and an apply walks the chain group by group.  One group,
-a single vector through most chains, runs on the calling thread; more, as
-:func:`butterfly._pool.spans` cuts a larger apply, run side by side on the
-construction pool.  Each block meets the same matmul call either way, so
-the output is bit-identical for any group or CPU count.
+a single vector through a chain of under 1.6 M stored entries or a small
+block, runs on the calling thread; more, up to one per worker for a single
+vector through a larger chain and up to four per worker for a large block
+(:func:`butterfly._pool.spans`), run side by side on the process's kept
+pool, which construction shares.  Each block meets the same matmul call
+either way, so the output is bit-identical for any group or CPU count.
 """
 
 from __future__ import annotations
@@ -97,25 +99,35 @@ class TransferFactor:
                   out=res.swapaxes(1, 2))
         return res.reshape(-1, nv)
 
-    def adjoint(self, w: np.ndarray, out=None, work=None,
-                nodes=None) -> np.ndarray:
-        """sum_s blocks[:, :, s]* @ w[:, s]: one matmul per pair on its t
-        input groups, gathered into ``work`` first, so ``out`` may hold ``w``.
-
-        The vectors are conjugated instead of the blocks, B* w =
-        conj(B^T conj(w)): the gather conjugates and the result is
-        conjugated in place, so no call copies the factor.
-        """
+    def transpose(self, w: np.ndarray, out=None, work=None, nodes=None,
+                  conj: bool = False) -> np.ndarray:
+        """B^T w, or B^T conj(w) with ``conj``: sum_s blocks[:, :, s]^T @
+        w[:, s], one matmul per pair on its t input groups, gathered into
+        ``work`` first (conjugated with ``conj``), so ``out`` may hold ``w``."""
         blocks = self.blocks if nodes is None else self.blocks[nodes]
         nb, pairs, t, k_out, two_k = blocks.shape
         nv = w.shape[-1]
         win = w.reshape(nb, t, pairs, k_out, nv).swapaxes(1, 2)
         gathered = _take(work, win.shape)
-        np.conjugate(win, out=gathered)
+        if conj:
+            np.conjugate(win, out=gathered)
+        else:
+            np.copyto(gathered, win)
         bt = blocks.reshape(nb, pairs, t * k_out, two_k).swapaxes(-1, -2)
         res = _take(out, (nb, pairs, two_k, nv))
         np.matmul(bt, gathered.reshape(nb, pairs, t * k_out, nv), out=res)
-        return np.conjugate(res, out=res).reshape(-1, nv)
+        return res.reshape(-1, nv)
+
+    def adjoint(self, w: np.ndarray, out=None, work=None,
+                nodes=None) -> np.ndarray:
+        """B* w, with ``out`` and ``work`` as in :meth:`transpose`.
+
+        The vectors are conjugated instead of the blocks, B* w =
+        conj(B^T conj(w)): the gather conjugates and the result is
+        conjugated in place, so no call copies the factor.
+        """
+        res = self.transpose(w, out=out, work=work, nodes=nodes, conj=True)
+        return np.conjugate(res, out=res)
 
 
 @dataclass(frozen=True)
@@ -207,7 +219,9 @@ class ButterflyFactors:
         of :func:`butterfly._pool.spans` owns blocks [lo * s, hi * s) of
         every level of s * m nodes and their rows, so every block meets the
         same matmul call for any grouping.  A group runs its share of the
-        right side into its rows of the middle's input, then its rows of the
+        right side into its rows of the middle's input, as B^T on the
+        conjugated input, conjugated once at the end: exactly B* w level by
+        level without conjugating every level's output.  Then its rows of the
         middle, which read every row, and its share of the left side, in two
         buffers of its share of the widest level.  One group runs on the
         calling thread, its middle input a view of its first buffer and its
@@ -230,7 +244,7 @@ class ButterflyFactors:
         left, right = self.sides[::-1] if adjoint else self.sides
         middle = self.middle.adjoint if adjoint else self.middle.forward
         m, nv = self.middle.m, w.shape[1]
-        spans = _pool.spans(m, nv * self._stored)
+        spans = _pool.spans(m, self._stored, nv)
 
         def rows(x, lo, hi):
             return slice(lo * len(x) // m, hi * len(x) // m)
@@ -251,7 +265,9 @@ class ButterflyFactors:
             x = w[rows(w, lo, hi)]
             for tf in right[::-1]:  # the last one into the middle's input
                 out = mid[rows(mid, lo, hi)] if tf is right[0] else a
-                x = tf.adjoint(x, out=out, work=b, nodes=nodes(tf, lo, hi))
+                x = tf.transpose(x, out=out, work=b, nodes=nodes(tf, lo, hi),
+                                 conj=tf is right[-1])
+            np.conjugate(x, out=x)
 
         def left_side(lo, hi):
             a, b = held or buffers(lo, hi)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from butterfly import _pool
+from butterfly import FioKernel, _pool, factorize, make_partition
 from butterfly.factors import (ButterflyFactors, MiddleFactor, TransferFactor,
                                chain_geometry)
 
@@ -53,3 +53,17 @@ def use_workers(monkeypatch, workers):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
+
+
+@pytest.fixture(scope="session")
+def fio_ref_factors():
+    """fio-ref's chain: 1.78 M stored entries on 64 middle nodes."""
+    n = 1024
+    return factorize(FioKernel(n), make_partition(n, 0.25), 8, seed=0)
+
+
+@pytest.fixture(scope="session")
+def fio_stream_factors():
+    """fio-stream's chain: 0.11 M stored entries on 16 middle nodes."""
+    n = 512
+    return factorize(FioKernel(n), make_partition(n, 1), 6, seed=0)

@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import subprocess
@@ -608,10 +609,13 @@ def test_factors_do_not_depend_on_the_worker_count(monkeypatch, kernel, n,
     p, oracle, _, mode = build_operator(kernel, n, r, leaf, mode, 0)
     pooled, spans = [], _pool.spans
 
-    def spy(m, work=None):
-        cut = spans(m, work)
-        if work is not None and len(cut) > 1:  # an apply split into groups
-            pooled.append(len(cut))
+    def spy(m, stored=None, vectors=1):
+        cut = spans(m, stored, vectors)
+        if stored is not None and len(cut) > 1:  # an apply split into groups
+            # the inner chain's blocks of 128 and 32 vectors, never one
+            rule = min(m, 4 * _pool.worker_count(),
+                       stored * vectors // _pool._GROUP_WORK)
+            pooled.append(vectors > 1 and len(cut) == rule)
         return cut
 
     monkeypatch.setattr(_pool, "spans", spy)
@@ -620,15 +624,37 @@ def test_factors_do_not_depend_on_the_worker_count(monkeypatch, kernel, n,
         use_workers(monkeypatch, workers)
         built.append(factorize(oracle, p, r, seed=0, mode=mode))
     assert factors_equal(*built)
-    assert bool(pooled) == (n == 512)
+    assert bool(pooled) == (n == 512) and all(pooled)
+
+
+def warm_pool(monkeypatch, workers):
+    """Size the pool to ``workers`` threads and start every one of them,
+    then join the threads of the pools it replaced, which exit on their own
+    once dropped: ``threading.active_count()`` then counts the kept pool
+    whole and no other pool."""
+    use_workers(monkeypatch, workers)
+    ours, barrier = set(), threading.Barrier(workers, timeout=30)
+
+    def meet():  # each task waits for the others, so each has a thread
+        ours.add(threading.current_thread())
+        barrier.wait()
+
+    _pool.in_pool((meet, [()] * workers))
+    gc.collect()  # a traceback kept in a cycle may still hold an old pool
+    for thread in threading.enumerate():
+        if thread.name.startswith("butterfly") and thread not in ours:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
 
 
 @pytest.mark.parametrize("where", ["first line", "last line", "oracle"])
 def test_a_failure_leaves_no_thread_behind(monkeypatch, where):
-    # FIO n=256 at leaf 0.25 has 32 block rows, each one truncated_svd call
+    # FIO n=256 at leaf 0.25 has 32 block rows, each one truncated_svd call.
+    # The process keeps its pool, so it is warmed at 3 threads first: the
+    # failing factorize may then start no thread and leave no task running
     n, m = 256, 32
+    warm_pool(monkeypatch, 3)
     threads = threading.active_count()
-    use_workers(monkeypatch, 3)
     oracle, error, seen = FioKernel(n), np.linalg.LinAlgError, []
     lock = threading.Lock()
     if where == "oracle":

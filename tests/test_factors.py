@@ -189,18 +189,6 @@ def test_factor_by_factor_chain_equals_apply_bitwise(rng, width):
         assert np.array_equal(w, apply(g))
 
 
-@pytest.fixture(scope="module")
-def fio_ref_factors():
-    n = 1024
-    return factorize(FioKernel(n), make_partition(n, 0.25), 8, seed=0)
-
-
-@pytest.fixture(scope="module")
-def fio_stream_factors():
-    n = 512
-    return factorize(FioKernel(n), make_partition(n, 1), 6, seed=0)
-
-
 def test_block_apply_peak_and_no_aliasing(fio_ref_factors, fio_stream_factors,
                                           rng, monkeypatch):
     # one group: two work buffers as long as the widest level, the middle's
@@ -245,43 +233,52 @@ def pooled_case(request, fio_ref_factors, fio_stream_factors):
 @pytest.mark.parametrize("width", [1, 64, 130])
 def test_pooled_apply_equals_one_group_bitwise(pooled_case, rng, monkeypatch,
                                                width):
-    # groups = min(m, 4 * workers, stored entries * vectors // cutoff); at
-    # m = 16 and 130 vectors that is 3 groups of 5, 5 and 6 middle nodes
+    # groups = min(m, per worker * workers, stored entries * vectors //
+    # share): at one vector 1 per worker and 800 k, which cuts fio-ref's
+    # 1.78 M stored entries into 2 groups and leaves fio-stream's 0.11 M
+    # whole; for a block 4 per worker and 4 M, which at m = 16 and 130
+    # vectors is 3 groups of 5, 5 and 6 middle nodes
     f = pooled_case
     g = complex_gaussian(rng, (f.n, width))
     groups, spans = [], _pool.spans
 
-    def spy(m, work=None):
-        cut = spans(m, work)
+    def spy(m, stored=None, vectors=1):
+        cut = spans(m, stored, vectors)
         groups.append(len(cut))
         return cut
 
     monkeypatch.setattr(_pool, "spans", spy)
     with pytest.MonkeyPatch.context() as one_group:
         one_group.setattr(_pool, "_GROUP_WORK", 10 ** 18)
+        one_group.setattr(_pool, "_VECTOR_WORK", 10 ** 18)
         want = [f.apply(g), f.apply_adjoint(g)]
     assert groups == [1, 1]
     groups.clear()
+    per_worker, share = ((1, _pool._VECTOR_WORK) if width == 1
+                         else (4, _pool._GROUP_WORK))
     work = width * f.nnz_report().total
     for workers in (1, 2, 3, 4):
         use_workers(monkeypatch, workers)
         for out, one in zip((f.apply(g), f.apply_adjoint(g)), want):
             assert np.array_equal(out, one)
-        rule = min(f.middle.m, 4 * workers, work // _pool._GROUP_WORK)
-        assert groups == [max(rule, 1)] * 2
+        rule = max(1, min(f.middle.m, per_worker * workers, work // share))
+        assert groups == [rule] * 2
+        if width == 1:  # fio-ref splits on 2 workers, fio-stream never
+            assert rule == (min(workers, 2) if f.middle.m == 64 else 1)
         groups.clear()
 
 
 def test_apply_below_the_cutoff_starts_no_thread(fio_stream_factors,
                                                  monkeypatch, rng):
-    # fio-stream's tree: its 64-vector block stays one group, as do single
-    # vectors on any tree; neither reads the worker count
+    # fio-stream's tree: its 64-vector block and its single vectors stay one
+    # group, which reads no worker count and reaches no pool or its lock
     def refuse(*args):
         raise AssertionError("the apply reached the pool")
 
     f = fio_stream_factors
     assert 64 * f.nnz_report().total < 2 * _pool._GROUP_WORK
-    monkeypatch.setattr(_pool, "ThreadPoolExecutor", refuse)
+    assert f.nnz_report().total < 2 * _pool._VECTOR_WORK
+    monkeypatch.setattr(_pool, "_executor", refuse)
     monkeypatch.setattr(_pool, "worker_count", refuse)
     for width in (1, 64):
         g = complex_gaussian(rng, (f.n, width))
