@@ -7,17 +7,18 @@ The process keeps one pool, made on the first pooled call and kept for
 the next: starting an executor cost about 0.5 ms on a 2-core host, more
 than a one-vector apply gains by splitting.  It is made again when
 :func:`worker_count` reads a new count, and in a child after a fork, whose
-copy of the pool has no threads.  A replaced pool is only dropped: a call
-still running on it keeps it until it returns, and its idle threads then
-exit.  Idle threads never keep the interpreter from exiting.
+copy of the pool has no threads.  A replaced pool, or the second of two
+made by calls that found none at once, is only dropped: a call still
+running on it keeps it until it returns, and its idle threads then exit.
+Idle threads never keep the interpreter from exiting.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import lru_cache
 
 #: Where BLAS libraries read their thread count, their own names before
 #: OpenMP's, as OpenBLAS and MKL read them.
@@ -50,19 +51,6 @@ _GROUP_WORK = 4_000_000
 #: faster in 8, while 2 groups broke even on composition (0.45 M) and lost
 #: on hankel (0.30 M: +39 %) and fio-stream (0.11 M: +95 %), in-process.
 _VECTOR_WORK = 800_000
-
-_lock = threading.Lock()
-_kept = None  # (workers, ThreadPoolExecutor) of the last pooled call
-
-
-def _forget_pool() -> None:
-    global _lock, _kept
-    _lock, _kept = threading.Lock(), None
-
-
-if hasattr(os, "register_at_fork"):  # POSIX: only a fork copies the pool
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def worker_count() -> int:
     """Threads of a pool: the CPUs this process may run on, shared out
@@ -102,14 +90,14 @@ def spans(m: int, stored=None, vectors: int = 1) -> list:
     return [(m * i // groups, m * (i + 1) // groups) for i in range(groups)]
 
 
+@lru_cache(maxsize=1)
 def _executor(workers: int) -> ThreadPoolExecutor:
     """The kept pool of ``workers`` threads, made if it has another size."""
-    global _kept
-    with _lock:
-        if _kept is None or _kept[0] != workers:
-            _kept = workers, ThreadPoolExecutor(
-                workers, thread_name_prefix="butterfly")
-        return _kept[1]
+    return ThreadPoolExecutor(workers, thread_name_prefix="butterfly")
+
+
+if hasattr(os, "register_at_fork"):  # POSIX: only a fork copies the pool
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 def in_pool(*rounds) -> None:

@@ -61,7 +61,7 @@ _ROW_PROBE_DOMAIN = 2
 _SKETCH_DOMAIN = 3
 
 def check_seed(seed):
-    """``seed`` if it is a non-negative integer (``None`` draws entropy)."""
+    """``seed`` if it is a non-negative integer; ``None`` is rejected too."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
@@ -88,19 +88,18 @@ def _sample_block(entry, p, r, seed, i, j):
     side = p.mid_side
 
     def finite_block(rows, cols):
-        values = entry.block(np.asarray(rows, dtype=np.intp) + i * side,
-                             np.asarray(cols, dtype=np.intp) + j * side)
+        try:
+            values = entry.block(np.asarray(rows, dtype=np.intp) + i * side,
+                                 np.asarray(cols, dtype=np.intp) + j * side)
+        except Exception as exc:  # keep the failing block identifiable
+            raise OracleError(f"entry oracle failed on middle block "
+                              f"({i}, {j})") from exc
         if not np.isfinite(values).all():
             raise _non_finite("entry oracle", i, j)
         return values
 
-    rng = block_rng(seed, _SAMPLING_DOMAIN, i, j)
-    try:
-        return randomized_sampling_svd(finite_block, side, side, r, rng)
-    except OracleError:
-        raise
-    except Exception as exc:  # keep the failing block identifiable
-        raise OracleError(f"entry oracle failed on middle block ({i}, {j})") from exc
+    return randomized_sampling_svd(finite_block, side, side, r,
+                                   block_rng(seed, _SAMPLING_DOMAIN, i, j))
 
 
 def _read_dense(entry, p, k, others, column):

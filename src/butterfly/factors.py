@@ -118,15 +118,14 @@ class TransferFactor:
         np.matmul(bt, gathered.reshape(nb, pairs, t * k_out, nv), out=res)
         return res.reshape(-1, nv)
 
-    def adjoint(self, w: np.ndarray, out=None, work=None,
-                nodes=None) -> np.ndarray:
-        """B* w, with ``out`` and ``work`` as in :meth:`transpose`.
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """B* w.
 
         The vectors are conjugated instead of the blocks, B* w =
         conj(B^T conj(w)): the gather conjugates and the result is
         conjugated in place, so no call copies the factor.
         """
-        res = self.transpose(w, out=out, work=work, nodes=nodes, conj=True)
+        res = self.transpose(w, conj=True)
         return np.conjugate(res, out=res)
 
 

@@ -49,13 +49,6 @@ class DyadicPartition:
         """Row/column count of one middle-level block."""
         return self.n // self.mid_nodes
 
-    @property
-    def leaf_size(self):
-        """n / 2**levels; below 1 when the tree outruns the index grid."""
-        if 2 ** self.levels <= self.n:
-            return self.n >> self.levels
-        return self.n / 2 ** self.levels
-
     def node_range(self, lvl: int, i: int) -> range:
         if not 0 <= lvl <= self.levels:
             raise ValueError(f"level {lvl} outside [0, {self.levels}]")

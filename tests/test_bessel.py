@@ -5,8 +5,7 @@ import pytest
 import scipy.special
 
 from butterfly import HankelKernel
-from butterfly.bessel import (bessel_j0, bessel_j1, bessel_y0, bessel_y1,
-                              hankel1_orders)
+from butterfly.bessel import _h1_seed, hankel1_orders
 
 # mpmath.hankel1(0, 4) at 30 digits, computed before the build
 H1_0_AT_4 = -0.397149809863847372286590768452 - 0.0169407393250649919036351344472j
@@ -38,15 +37,28 @@ def test_wronskian_identity():
         assert abs(w - want) <= 1e-10 * abs(want)
 
 
-@pytest.mark.parametrize("mine,ref", [
-    (bessel_j0, scipy.special.j0), (bessel_j1, scipy.special.j1),
-    (bessel_y0, scipy.special.y0), (bessel_y1, scipy.special.y1),
-])
-def test_seeds_against_independent_oracle(mine, ref):
+@pytest.mark.parametrize("order, j, y", [
+    (0, scipy.special.j0, scipy.special.y0),
+    (1, scipy.special.j1, scipy.special.y1)])
+def test_seeds_against_independent_oracle(order, j, y):
     xs = np.concatenate([np.linspace(0.05, 5.0, 311),
                          np.linspace(5.001, 2e4, 311)])
-    got, want = mine(xs), ref(xs)
-    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-3)) <= 1e-13
+    got = _h1_seed(xs, order)
+    for mine, want in ((got.real, j(xs)), (got.imag, y(xs))):
+        assert (np.max(np.abs(mine - want) / np.maximum(np.abs(want), 1e-3))
+                <= 1e-13)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_a_seed_batch_across_both_branches_equals_its_points(order):
+    # x < 1e-5 (order 0 has its own formula there), the rational branch up
+    # to and at x = 5, and the asymptotic branch above it, interleaved so
+    # the two branch masks must put every value back in its place
+    xs = np.array([7.5, 3e-6, 5.0, 0.3, 1e4, 4.999, 5.001, 1e-9, 2.0, 60.0])
+    batch = _h1_seed(xs, order)
+    points = np.array([_h1_seed(xs[k:k + 1], order)[0]
+                       for k in range(xs.size)])
+    assert batch.tobytes() == points.tobytes()
 
 
 def test_order_sweep_against_independent_oracle():

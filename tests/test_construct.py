@@ -15,7 +15,7 @@ from butterfly import (DenseOracle, FioKernel, HankelKernel, OracleError,
                        middle_factorization_matvec,
                        middle_factorization_sampling, recursive_factor_u,
                        recursive_factor_v, truncated_svd)
-from butterfly import _pool, construct
+from butterfly import _pool, construct, lowrank
 from butterfly.bench import build_operator
 from butterfly.factors import TransferFactor, chain_geometry
 from butterfly.lowrank import at_dense_limit, floored_inverse
@@ -408,18 +408,37 @@ def test_non_finite_oracle_output_names_the_block(mode, n, leaf, whole):
         factorize(oracle, p, 4, seed=0, mode=mode)
 
 
-@pytest.mark.parametrize("mode, blocks", [
-    ("sampling", r"\(0, 0\) to \(0, 15\)"),   # one call per block row
-    ("streaming", r"\(0, 0\) to \(0, 0\)")])  # one call per block
-def test_failing_entry_oracle_names_the_blocks_it_was_reading(mode, blocks):
+@pytest.mark.parametrize("mode, n, leaf, r, named", [
+    ("sampling", 512, 1, 6, r"blocks \(0, 0\) to \(0, 15\)"),  # one call a row
+    ("streaming", 512, 1, 6, r"blocks \(0, 0\) to \(0, 0\)"),  # one a block
+    # above the crossover the sampling engine reads a block in several calls
+    ("sampling", 1024, 4, 1, r"block \(0, 0\)$"),
+    ("streaming", 1024, 4, 1, r"block \(0, 0\)$")])
+def test_failing_entry_oracle_names_the_blocks_it_was_reading(mode, n, leaf,
+                                                              r, named):
     class Failing:
-        shape = (512, 512)
+        shape = (n, n)
 
         def block(self, rows, cols):
             raise RuntimeError("unavailable")
 
-    with pytest.raises(OracleError, match=rf"middle blocks {blocks}"):
-        factorize(Failing(), make_partition(512, 1), 6, seed=0, mode=mode)
+    with pytest.raises(OracleError, match=rf"middle {named}"):
+        factorize(Failing(), make_partition(n, leaf), r, seed=0, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["sampling", "streaming"])
+def test_a_lapack_failure_above_the_crossover_is_not_an_oracle_failure(
+        monkeypatch, mode):
+    # as on the dense route, an error of the engine's own linear algebra
+    # reaches the caller as itself, not as a failure of the oracle
+    def failing(a):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(lowrank, "pinv_floored", failing)
+    p = make_partition(1024, 4)
+    assert not at_dense_limit(p.mid_side, p.mid_side, 1)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        factorize(FioKernel(1024), p, 1, seed=0, mode=mode)
 
 
 @pytest.mark.parametrize("mode", ["sampling", "streaming"])

@@ -6,12 +6,12 @@ from butterfly import DyadicPartition, make_partition
 
 def test_make_partition_picks_deepest_even_depth():
     p = make_partition(64, 2)
-    assert (p.levels, p.leaf_size, p.half) == (4, 4, 2)
+    assert (p.levels, p.n >> p.levels, p.half) == (4, 4, 2)
 
 
 def test_make_partition_integer_leaf_target():
     p = make_partition(1024, 16)
-    assert (p.levels, p.leaf_size, p.half) == (6, 16, 3)
+    assert (p.levels, p.n >> p.levels, p.half) == (6, 16, 3)
     assert p.mid_nodes == 8
 
 
@@ -23,7 +23,7 @@ def test_make_partition_rejects_odd_factor_sizes():
 def test_make_partition_fractional_leaf_goes_past_single_indices():
     p = make_partition(1024, 0.25)
     assert p.levels == 12
-    assert p.leaf_size == 0.25
+    assert p.n / 2 ** p.levels == 0.25
     assert p.mid_side == 16
 
 

@@ -28,8 +28,9 @@ def made(monkeypatch):
             made.append(workers)
 
     monkeypatch.setattr(_pool, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(_pool, "_kept", None)
-    return made
+    _pool._executor.cache_clear()
+    yield made
+    _pool._executor.cache_clear()  # no counted executor outlives the test
 
 
 def test_pooled_calls_reuse_one_executor(made, monkeypatch):
