@@ -11,6 +11,7 @@ entry evaluated on the fly, never a stored dense matrix.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .construct import block_rng, factorize
+from .construct import block_rng, check_rank, check_seed, factorize
 from .factors import ButterflyFactors
 from .kernels import ComposedOperator, FioKernel, HankelKernel
 from .lowrank import complex_normal
@@ -129,6 +130,10 @@ class BenchConfig:
             raise ValueError("n_list and rank_list must not be empty, got "
                              f"{self.n_list!r} and {self.rank_list!r}")
         check_sample_count(self.sample_count)
+        check_seed(self.seed)
+        for n, r in itertools.product(self.n_list, self.rank_list):
+            # an argument error, raised before any row is factorized
+            check_rank(make_partition(n, self.target_leaf), r)
 
 
 @dataclass
@@ -194,8 +199,7 @@ def build_operator(kernel: str, n: int, r: int, leaf: float, mode: str,
 
 def run_bench(cfg: BenchConfig) -> BenchReport:
     report = BenchReport()
-    for idx, (n, r) in enumerate((n, r) for n in cfg.n_list
-                                 for r in cfg.rank_list):
+    for idx, (n, r) in enumerate(itertools.product(cfg.n_list, cfg.rank_list)):
         row = BenchRow(n=n, r=r, seed=cfg.seed,
                        samples_clamped=cfg.sample_count > n)
         report.rows.append(row)

@@ -13,6 +13,7 @@ import numpy as np
 from .bench import (DEFAULT_LEAF, KERNELS, BenchConfig, build_operator,
                     check_sample_count, estimate_eps_a, eps_rng, run_bench)
 from .construct import check_seed, factorize
+from .factors import materialize
 from .kernels import DENSE_CAP, FioKernel, dense_matrix, dft_apply
 from .storage import load_factors, read_vector, save_factors, write_vector
 
@@ -156,7 +157,7 @@ def _cmd_verify(args) -> int:
     else:
         # reference protocol compares against the fast chain; report the
         # truly dense composition too while it is still materializable
-        dense = reference.op.apply(np.eye(args.n, dtype=np.complex128))
+        dense = materialize(reference.op.apply, args.n)
         if args.n <= 1024:
             k = dense_matrix(FioKernel(args.n), args.n)
             true_dense = k @ dft_apply(args.n, k)

@@ -1,18 +1,19 @@
 """Two-stage construction of the sparse factor chain.
 
-Stage one compresses every middle-level block to rank r, either by sampled
-entries or through black-box applications of the operator, and assembles the
-block-diagonal left/right factors and the weighted permutation in between.
-It works by block line: the m blocks of one block row (or, for the right
-side of the streaming mode, one block column) are produced as one stack of
-rank-r triples, and one assembler places every line whatever the mode.
+Stage one compresses every middle-level block to rank r, from sampled
+entries or from applications of the operator, into block-diagonal left and
+right factors and a weighted permutation.  It works by block line: the m
+blocks of a block row (or, for the streaming right side, a block column)
+come out as one stack of rank-r triples, which one assembler places.  Each
+entry read (a line, a block or an engine sample) is one checked oracle call,
+:func:`_read`.
 
 * entry oracle, blocks at the dense limit or marked ``whole_rows`` -- one
   ``block`` call per line and one stacked sketched (for narrow blocks,
   truncated) SVD; streaming reads such a line block by block unless the
   oracle is ``whole_rows``, so it never holds a side x n line;
 * entry oracle above the dense limit -- the randomized sampling engine
-  block by block, its results stacked;
+  block by block, four reads a block, its results stacked;
 * operator oracle -- K and K* applied to block-diagonal Gaussian probes,
   one application of each per 128 probe columns, built slice by slice
   from the m diagonal blocks; then one stacked probe finish per block row.
@@ -72,10 +73,11 @@ def block_rng(seed, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _middle_shapes(p: DyadicPartition, r: int):
+def check_rank(p: DyadicPartition, r: int):
+    """(m, side) of the middle level if rank ``r`` fits its blocks."""
     m, side = p.mid_nodes, p.mid_side
-    if side < r:
-        raise ValueError(f"middle blocks are {side} wide, below rank {r}")
+    if not 1 <= r <= side:
+        raise ValueError(f"rank {r} outside [1, {side}] at n={p.n}")
     return m, side
 
 
@@ -84,46 +86,32 @@ def _non_finite(source, i, j) -> OracleError:
                        f"block ({i}, {j})")
 
 
-def _sample_block(entry, p, r, seed, i, j):
+def _read(entry, p, row_nodes, col_nodes, rows=None, cols=None):
+    """Middle blocks ``row_nodes`` x ``col_nodes`` (one block or a run of a
+    block line) on local ``rows`` and ``cols``, all by default, read in one
+    call and checked: a stack, one block each in line order, that views the
+    oracle's output."""
     side = p.mid_side
-
-    def finite_block(rows, cols):
-        try:
-            values = entry.block(np.asarray(rows, dtype=np.intp) + i * side,
-                                 np.asarray(cols, dtype=np.intp) + j * side)
-        except Exception as exc:  # keep the failing block identifiable
-            raise OracleError(f"entry oracle failed on middle block "
-                              f"({i}, {j})") from exc
-        if not np.isfinite(values).all():
-            raise _non_finite("entry oracle", i, j)
-        return values
-
-    return randomized_sampling_svd(finite_block, side, side, r,
-                                   block_rng(seed, _SAMPLING_DOMAIN, i, j))
-
-
-def _read_dense(entry, p, k, others, column):
-    """Blocks ``others`` (a range) of block row k, or of block column k with
-    ``column``, read in one oracle call and checked: (block ids, stack)."""
-    side = p.mid_side
-    ids = [(other, k) if column else (k, other) for other in others]
-    node = np.asarray(p.node_range(p.half, k))
-    span = np.arange(others.start * side, others.stop * side)
+    rows, cols = (np.arange(side) if x is None else x for x in (rows, cols))
+    ids = [(i, j) for i in row_nodes for j in col_nodes]
     try:
-        values = entry.block(span, node) if column else entry.block(node, span)
-    except Exception as exc:
-        raise OracleError(f"entry oracle failed on middle blocks {ids[0]} "
-                          f"to {ids[-1]}") from exc
-    blocks = (values.reshape(len(ids), side, side) if column
-              else values.reshape(side, len(ids), side).swapaxes(0, 1))
+        values = entry.block(
+            np.add.outer(np.multiply(row_nodes, side), rows).ravel(),
+            np.add.outer(np.multiply(col_nodes, side), cols).ravel())
+    except Exception as exc:  # keep the failing blocks identifiable
+        where = (f"block {ids[0]}" if len(ids) == 1
+                 else f"blocks {ids[0]} to {ids[-1]}")
+        raise OracleError(f"entry oracle failed on middle {where}") from exc
+    blocks = values.reshape(len(row_nodes), rows.size, -1, cols.size)
+    blocks = blocks.swapaxes(1, 2).reshape(len(ids), rows.size, cols.size)
     finite = np.isfinite(blocks).all(axis=(1, 2))
     if not finite.all():
         raise _non_finite("entry oracle", *ids[int(np.argmin(finite))])
-    return ids, blocks
+    return blocks
 
 
 def _compress_dense(ids, blocks, r, seed) -> LowRankApprox:
-    """Stacked rank-r triples of the blocks read by :func:`_read_dense`."""
+    """Stacked rank-r triples of the blocks ``ids`` read by :func:`_read`."""
     side = blocks.shape[-1]
     width = r + PROBE_OVERSAMPLING
     if width > side // 2:
@@ -149,24 +137,26 @@ def _entry_line(entry, p, r, seed, k, column=False, streaming=False):
     the sampling engine calls the oracle between its own steps.
     """
     m, side = p.mid_nodes, p.mid_side
+    line = (range(m), [k]) if column else ([k], range(m))
+    ids = [(i, j) for i in line[0] for j in line[1]]
     whole_rows = getattr(entry, "whole_rows", False)
     if whole_rows or at_dense_limit(side, side, r):
         if whole_rows or not streaming:
-            ids, blocks = _read_dense(entry, p, k, range(m), column)
+            blocks = _read(entry, p, *line)
             return lambda: _as_row(_compress_dense(ids, blocks, r, seed),
                                    column)
-        parts = [_compress_dense(*_read_dense(entry, p, k, range(j, j + 1),
-                                              column), r, seed)
-                 for j in range(m)]
+        parts = [_compress_dense([b], _read(entry, p, [b[0]], [b[1]]), r, seed)
+                 for b in ids]
         join = np.concatenate
     else:
-        parts = [_sample_block(entry, p, r, seed,
-                               *((other, k) if column else (k, other)))
-                 for other in range(m)]
+        parts = [randomized_sampling_svd(
+            lambda rows, cols: _read(entry, p, [i], [j], rows, cols)[0],
+            side, side, r, block_rng(seed, _SAMPLING_DOMAIN, i, j))
+            for i, j in ids]
         join = np.stack
     u0, sigma0, v0 = map(join, zip(*((a.u0, a.sigma0, a.v0) for a in parts)))
-    line = _as_row(LowRankApprox(u0, sigma0, v0), column)
-    return lambda: line
+    done = _as_row(LowRankApprox(u0, sigma0, v0), column)
+    return lambda: done
 
 
 def _place_line(apx: LowRankApprox, u_row, v_col=None, w_row=None):
@@ -205,7 +195,7 @@ def _middle_level(p: DyadicPartition, r: int, lines):
 def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization through an entry oracle, by block row."""
     check_seed(seed)
-    m, _ = _middle_shapes(p, r)
+    m, _ = check_rank(p, r)
     return _middle_level(p, r, (_entry_line(entry, p, r, seed, i)
                                 for i in range(m)))
 
@@ -247,7 +237,7 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
     row is finished from the stored products alone, in one stacked pass.
     """
     check_seed(seed)
-    m, side = _middle_shapes(p, r)
+    m, side = check_rank(p, r)
     width = min(r + PROBE_OVERSAMPLING, side)  # whole blocks once they are small
     col_probe, row_probe = (
         np.stack([complex_normal(block_rng(seed, domain, j), (side, width))
@@ -329,8 +319,7 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
     mode="streaming"  entry oracle, one middle block row/column at a time
                       (O(n log n) peak memory, bit-identical factors).
     """
-    if r < 1:
-        raise ValueError(f"rank must be positive, got {r}")
+    check_rank(p, r)
     check_seed(seed)
     if mode in ("sampling", "streaming") and not is_entry_oracle(oracle):
         raise ValueError(f"mode={mode!r} needs an entry oracle")
@@ -356,7 +345,7 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
 
 
 def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
-    m, side = _middle_shapes(p, r)
+    m, side = check_rank(p, r)
     weights = np.empty((m, m, r))
     sides = []
     for column in (False, True):

@@ -52,6 +52,15 @@ def chain_geometry(p: DyadicPartition, r: int):
     return shapes + [(p.levels, (nodes, 1, 1, rows, k))]
 
 
+def materialize(apply_fn, n: int) -> np.ndarray:
+    """The n x n matrix of ``apply_fn``, fed 512 identity columns a call."""
+    out = np.empty((n, n), dtype=np.complex128)
+    for c0 in range(0, n, 512):
+        out[:, c0:c0 + 512] = apply_fn(
+            np.eye(n, min(512, n - c0), -c0, dtype=np.complex128))
+    return out
+
+
 def _take(buf, shape) -> np.ndarray:
     """``shape`` at the head of a factor method's flat complex128 ``out`` or
     ``work`` buffer, or a fresh array without one: the same bits either way."""
@@ -287,12 +296,7 @@ class ButterflyFactors:
 
     def dense(self) -> np.ndarray:
         """Materialize the factored operator (tests and verify only)."""
-        n, chunk = self.n, 512
-        out = np.empty((n, n), dtype=np.complex128)
-        eye = np.eye(n, dtype=np.complex128)
-        for c0 in range(0, n, chunk):
-            out[:, c0:c0 + chunk] = self.apply(eye[:, c0:c0 + chunk])
-        return out
+        return materialize(self.apply, self.n)
 
     def nnz_report(self) -> "NnzReport":
         return NnzReport(
@@ -321,7 +325,7 @@ class NnzReport:
 
 
 def factors_equal(a: ButterflyFactors, b: ButterflyFactors) -> bool:
-    """Bit-exact equality of two chains (same partition, same arrays)."""
+    """Bit-exact equality of two chains: same partition, same array bytes."""
     if a.partition != b.partition or a.rank != b.rank:
         return False
     if len(a.g_chain) != len(b.g_chain) or len(a.h_chain) != len(b.h_chain):
@@ -329,4 +333,5 @@ def factors_equal(a: ButterflyFactors, b: ButterflyFactors) -> bool:
     pairs = [(a.middle.weights, b.middle.weights)]
     pairs += [(x.blocks, y.blocks)
               for sa, sb in zip(a.sides, b.sides) for x, y in zip(sa, sb)]
-    return all(x.shape == y.shape and np.array_equal(x, y) for x, y in pairs)
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in pairs)

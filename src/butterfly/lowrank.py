@@ -51,7 +51,7 @@ PROBE_OVERSAMPLING = 5
 SAMPLES_PER_RANK = 3
 
 #: Block side per unit of rank up to which reading a block whole costs less
-#: than the sampling engine's ~15 r side entries, pivoting and least squares.
+#: than the sampling engine's ~14 r side entries, pivoting and least squares.
 DENSE_SIDE_PER_RANK = 32
 
 
@@ -238,10 +238,10 @@ def randomized_sampling_svd(entry, m, n, r, rng) -> LowRankApprox:
     ``entry(rows, cols)`` returns the dense submatrix on the given index
     arrays.  One skeleton sweep: pivoted QR on random rows picks r skeleton
     columns, pivoted LQ on random columns joined with them picks r skeleton
-    rows.  Fresh random rows and columns joined with the skeletons then pose
-    a small least-squares problem for the middle matrix.  Draw order: rows,
-    columns, final rows, final columns.  Rows and columns are assumed
-    incoherent with respect to delta functions; that is not checked here.
+    rows.  Fresh rows and columns joined with the skeletons give the bases
+    and a least-squares middle, cut from the row sample: four oracle calls.
+    Draw order: rows, columns, final rows, final columns.  Rows and columns
+    are assumed incoherent with respect to delta functions (unchecked).
     """
     rng = np.random.default_rng(rng)
     if not 1 <= r <= min(m, n):
@@ -261,9 +261,9 @@ def randomized_sampling_svd(entry, m, n, r, rng) -> LowRankApprox:
     cols = _draw(rng, n, rq, pi_col)
     width = max(r, min(rows.size, cols.size) - r)
     q_col = orthonormal_columns(entry(np.arange(m), cols), min(width, m))
-    q_row = orthonormal_columns(entry(rows, np.arange(n)).conj().T,
-                                min(width, n))
-    mid = pinv_floored(q_col[rows, :]) @ entry(rows, cols) @ pinv_floored(q_row[cols, :].conj().T)
+    row_sample = entry(rows, np.arange(n))
+    q_row = orthonormal_columns(row_sample.conj().T, min(width, n))
+    mid = pinv_floored(q_col[rows, :]) @ row_sample[:, cols] @ pinv_floored(q_row[cols, :].conj().T)
     return _assemble(mid, q_col, q_row, r)
 
 

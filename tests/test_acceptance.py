@@ -140,8 +140,8 @@ def test_sampling_cost_scales_as_n15_r():
     # blocks sit below the dense crossover, so factorize reads them whole
     # (n^2 entries); the engine is called directly, with the generators
     # factorize would give it.  With one skeleton sweep the constants are
-    # 15.4 (n=256) and 15.5 (n=1024); entry counts are deterministic, so a
-    # second sweep (30.0 at n=1024) fails the per-size bound, and a sampler
+    # 12.8 (n=256) and 13.9 (n=1024); entry counts are deterministic, so a
+    # second sweep (20.5 at n=1024) fails the per-size bound, and a sampler
     # that grew as n^2 would double the constant from one size to the next.
     r = 4
     constants = {}

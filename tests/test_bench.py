@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from butterfly import (FioKernel, OperatorReference, RowSampledReference,
-                       estimate_eps_a, factorize, make_partition, run_bench)
+                       bench, estimate_eps_a, factorize, make_partition,
+                       run_bench)
 from butterfly.bench import (BenchConfig, BenchRow, build_operator,
                              sampled_relative_error)
 
@@ -79,10 +80,14 @@ def test_run_bench_clamps_sample_count():
     assert report.rows[0].error is None
 
 
-def test_run_bench_failure_recorded_not_raised():
-    cfg = BenchConfig(kernel="fio", n_list=(64,), rank_list=(40,), seed=0)
+def test_run_bench_failure_recorded_not_raised(monkeypatch):
+    def factorize(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(bench, "factorize", factorize)
+    cfg = BenchConfig(kernel="fio", n_list=(64,), rank_list=(2,), seed=0)
     report = run_bench(cfg)
-    assert report.rows[0].error is not None
+    assert report.rows[0].error == "LinAlgError: SVD did not converge"
 
 
 def test_eps_monotone_in_rank_at_reported_scale():
@@ -138,5 +143,9 @@ def test_bench_config_validation():
     for n_list, rank_list in (((), (2,)), ((64,), ())):
         with pytest.raises(ValueError, match="must not be empty"):
             BenchConfig(kernel="fio", n_list=n_list, rank_list=rank_list)
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        BenchConfig(kernel="fio", n_list=(64,), rank_list=(2,), seed=-1)
+    with pytest.raises(ValueError, match=r"rank 0 outside \[1, 4\]"):
+        BenchConfig(kernel="fio", n_list=(64,), rank_list=(2, 0))
     with pytest.raises(ValueError, match="unknown kernel"):
         build_operator("nope", 64, 2, 0.25, "sampling", 0)

@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from butterfly import (FioKernel, HankelKernel, factorize, kernels, lowrank,
+                       make_partition)
+
 ROOT = Path(__file__).resolve().parent.parent
 
 CHECK = """
@@ -33,3 +36,20 @@ def test_benchmark_modules_import():
          f"import sys; sys.path[:0] = {paths!r}\n{CHECK}"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_library_calls_the_names_the_benchmark_patches(monkeypatch):
+    # tracing.py counts pivots and Bessel calls by replacing these module
+    # globals; a call that bypassed them would read as zero
+    counts = {}
+    for module, name in ((lowrank, "select_pivot_columns"),
+                         (kernels, "hankel1_orders")):
+        def counted(*args, inner=getattr(module, name), name=name, **kw):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    # FIO side 64 at r=1 is above the crossover: the sampling engine pivots
+    factorize(FioKernel(1024), make_partition(1024, 4), 1, seed=0)
+    factorize(HankelKernel(64), make_partition(64, 0.25), 3, seed=0)
+    assert counts["select_pivot_columns"] > 0
+    assert counts["hankel1_orders"] > 0

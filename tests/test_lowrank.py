@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from butterfly import (FioKernel, LowRankApprox, make_partition,
+from butterfly import (FioKernel, LowRankApprox, lowrank, make_partition,
                        randomized_sampling_svd, randomized_svd, truncated_svd)
-from butterfly.lowrank import (DENSE_SIDE_PER_RANK, PROBE_OVERSAMPLING,
-                               SAMPLES_PER_RANK, at_dense_limit,
-                               floored_inverse, sketched_svd, svd_from_probes)
+from butterfly.lowrank import (DENSE_SIDE_PER_RANK, PIVOT_TIE,
+                               PROBE_OVERSAMPLING, SAMPLES_PER_RANK,
+                               at_dense_limit, floored_inverse,
+                               select_pivot_columns, sketched_svd,
+                               svd_from_probes)
 from butterfly.oracles import DenseOracle
 
 from conftest import complex_gaussian, prescribed_svd_matrix
@@ -159,6 +161,39 @@ def test_sketched_svd_zero_and_exact_rank(rng):
     assert np.linalg.norm(z - a.matrix(), 2) <= 1e-13
 
 
+def test_pivot_ties_within_the_window_pick_the_lower_index():
+    # column 1 is larger by 1e-14 in norm squared, inside the PIVOT_TIE
+    # window; outside it, the larger column wins
+    for gap, first in ((0.5 * PIVOT_TIE, 0), (100 * PIVOT_TIE, 1)):
+        a = np.diag([1.0, 1.0 + gap])
+        assert select_pivot_columns(a, 1) == [first]
+        assert select_pivot_columns(a, 2) == [first, 1 - first]
+
+
+def test_pivot_rel_tol_stops_at_an_exact_rank(rng):
+    # by default the sweep stops at an exactly zero residual
+    assert select_pivot_columns(np.array([[1.0, 0.0, 1.0],
+                                          [0.0, 1.0, 0.0]]), 3) == [0, 1]
+    # the downdated squared norms carry noise near machine epsilon, so a
+    # rank-3 matrix in floating point stops at a tolerance above its root
+    z = prescribed_svd_matrix(rng, 12, 9, [1.0, 0.5, 0.25])
+    pivots = select_pivot_columns(z, 9, rel_tol=1e-6)
+    assert len(pivots) == 3 == len(set(pivots))
+    q, _ = np.linalg.qr(z[:, pivots])
+    assert np.linalg.norm(z - q @ (q.conj().T @ z)) <= 1e-12
+
+
+def test_pivots_of_a_zero_matrix_are_none():
+    assert select_pivot_columns(np.zeros((6, 4)), 3) == []
+    assert select_pivot_columns(np.zeros((6, 4)), 3, rel_tol=1e-10) == []
+
+
+def test_pivot_count_is_clipped_to_the_smaller_side(rng):
+    a = complex_gaussian(rng, (3, 5))
+    assert len(select_pivot_columns(a, 10)) == 3
+    assert len(select_pivot_columns(a.T, 10)) == 3
+
+
 def test_sampling_svd_zero_matrix(rng):
     a = randomized_sampling_svd(DenseOracle(np.zeros((64, 64))).block,
                                 64, 64, 4, rng=rng)
@@ -192,28 +227,40 @@ def test_sampling_svd_exact_rank_all_seeds(rng):
         assert np.linalg.norm(z - a.matrix(), 2) <= 1e-10
 
 
-def test_sampling_svd_one_skeleton_sweep(rng):
+def test_sampling_svd_one_skeleton_sweep(rng, monkeypatch):
     # one sweep (rows, columns), then the least-squares visits: bases from
-    # sampled columns and rows, and their crossing.  Each sampled set holds
-    # SAMPLES_PER_RANK * r random indices plus at most r skeletons.
+    # sampled columns and rows.  Each sampled set holds SAMPLES_PER_RANK * r
+    # random indices plus at most r skeletons.  The middle's crossing is
+    # taken from the final row sample, not read again
     z = prescribed_svd_matrix(rng, 64, 48, [1.0, 0.3, 0.04, 0.01])
     r = 4
     rq = SAMPLES_PER_RANK * r
-    visits = []
+    visits, samples, middles = [], [], []
 
     def entry(rows, cols):
         visits.append((len(rows), len(cols)))
-        return z[np.ix_(rows, cols)]
+        samples.append((rows, cols, z[np.ix_(rows, cols)]))
+        return samples[-1][2]
 
+    def assemble(mid, q_col, q_row, r):
+        middles.append((mid, q_col, q_row))
+        return real_assemble(mid, q_col, q_row, r)
+
+    real_assemble = lowrank._assemble
+    monkeypatch.setattr(lowrank, "_assemble", assemble)
     a = randomized_sampling_svd(entry, 64, 48, r,
                                 rng=np.random.default_rng(2))
     assert np.linalg.norm(z - a.matrix(), 2) <= 1e-10
-    assert len(visits) == 5
+    assert len(visits) == 4
     assert visits[0] == (rq, 48)
     assert visits[1][0] == 64 and rq <= visits[1][1] <= rq + r
     assert visits[2][0] == 64 and visits[3][1] == 48
     assert rq <= visits[3][0] <= rq + r
-    assert visits[4] == (visits[3][0], visits[2][1])
+    (_, cols, _), (rows, _, row_sample) = samples[2:]
+    (mid, q_col, q_row), = middles
+    assert np.array_equal(mid, lowrank.pinv_floored(q_col[rows, :])
+                          @ row_sample[:, cols]
+                          @ lowrank.pinv_floored(q_row[cols, :].conj().T))
 
 
 def test_floored_inverse_direct_values():

@@ -39,6 +39,19 @@ def test_roundtrip_preserves_apply_bitwise(factors, tmp_path, rng):
     assert np.array_equal(factors.apply(g), loaded.apply(g))
 
 
+def test_factors_equal_tells_signed_zeros_apart(factors):
+    # -0.0 equals +0.0 as a value, but the two write different .bfac bytes
+    weights = factors.middle.weights.copy()
+    weights.flat[0] = 0.0
+    signed = weights.copy()
+    signed.flat[0] = -0.0
+    a, b = (dataclasses.replace(factors, middle=MiddleFactor(w))
+            for w in (weights, signed))
+    assert np.array_equal(a.middle.weights, b.middle.weights)
+    assert factors_equal(a, dataclasses.replace(a))
+    assert not factors_equal(a, b)
+
+
 def test_truncated_file_reports_offset(factors, tmp_path):
     path = tmp_path / "f.bfac"
     save_factors(factors, path)
