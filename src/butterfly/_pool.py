@@ -26,11 +26,16 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                     "OMP_NUM_THREADS")
 
-#: Groups of middle nodes a pooled stage or block apply cuts its work into
-#: per worker.  More groups than workers keep fewer of the temporaries alive
-#: at once (fio-ref on a 2-core host: recursive_factor_u peaks at 26.6 MB
-#: whole, 18.6 MB at 4 groups per worker, at the same speed), and each group
-#: still stacks enough nodes that its batched calls outweigh dispatch.
+#: Groups of middle nodes the refactoring cuts its work into per worker.
+#: More groups than workers keep fewer of the temporaries alive at once,
+#: and each group still stacks enough nodes that its batched calls outweigh
+#: dispatch.  fio-ref on a 2-core host: recursive_factor_u peaks at 35.7 MB
+#: whole, 18.5 MB at 4 groups per worker and 16.3 MB at 8, at the same
+#: speed, and the whole factorize at 41.9 and 39.4 MB; the QR levels hold
+#: more than the SVD did, under which 4 groups gave 41.3 MB.
+REFACTOR_GROUPS_PER_WORKER = 8
+
+#: Groups of middle nodes a block apply cuts its work into per worker.
 GROUPS_PER_WORKER = 4
 
 #: Stored entries times vectors that one group of a block apply carries at
@@ -72,15 +77,15 @@ def worker_count() -> int:
 def spans(m: int, stored=None, vectors: int = 1) -> list:
     """The ``(lo, hi)`` spans of m middle nodes that a stage runs as groups.
 
-    A construction stage (no ``stored``) takes min(m, GROUPS_PER_WORKER x
-    workers) groups.  An apply of ``vectors`` through a chain of ``stored``
-    entries takes min(m, per worker x workers, stored x vectors // share)
-    groups: one per worker and a share of :data:`_VECTOR_WORK` for a single
-    vector, GROUPS_PER_WORKER and :data:`_GROUP_WORK` for a block.  Below
-    two shares it is one span, found without the worker count.
+    The refactoring (no ``stored``) takes min(m, REFACTOR_GROUPS_PER_WORKER
+    x workers) groups.  An apply of ``vectors`` through a chain of
+    ``stored`` entries takes min(m, per worker x workers, stored x vectors
+    // share) groups: one per worker and a share of :data:`_VECTOR_WORK`
+    for a single vector, GROUPS_PER_WORKER and :data:`_GROUP_WORK` for a
+    block.  Below two shares it is one span, found without the worker count.
     """
     if stored is None:
-        per_worker, groups = GROUPS_PER_WORKER, m
+        per_worker, groups = REFACTOR_GROUPS_PER_WORKER, m
     else:
         per_worker, share = ((1, _VECTOR_WORK) if vectors == 1
                              else (GROUPS_PER_WORKER, _GROUP_WORK))

@@ -19,7 +19,10 @@ entry read (a line, a block or an engine sample) is one checked oracle call,
   from the m diagonal blocks; then one stacked probe finish per block row.
 
 Stage two recursively refactors the left and right factors level by level,
-splitting rows and merging sibling column groups, until the leaf level.
+splitting rows and merging sibling column groups, until the leaf level.  A
+level that must truncate (more rows per output node than the rank) keeps
+the leading singular directions of each block; a level that keeps every
+row only needs an orthonormal row basis and takes one batched QR instead.
 
 Each public stage function runs its pure linear algebra on the thread
 pool that the process keeps: one thread per CPU the process may run on
@@ -261,9 +264,14 @@ def _refactor(cur: np.ndarray, levels, first: int) -> None:
     ``cur`` is (nodes, rows, groups, r): the middle nodes ``first``,
     ``first + 1``, ...  ``levels`` holds one array per entry of
     :func:`chain_geometry`, leaf last, and the rows of these nodes are
-    written into each.  Each level pairs sibling column groups, splits the
-    rows t ways and keeps the leading k_out singular directions of every
-    (rows per output node) x 2k_in block.
+    written into each.  Each level pairs sibling column groups and splits
+    the rows t ways into (rows per output node) x 2k_in blocks A = C B.  It
+    stores B, k_out x 2k_in with orthonormal rows, and passes C down.
+    Where k_out is less than the rows, B holds the leading k_out right
+    singular vectors of A (one batched SVD).  Where k_out equals the rows
+    nothing is dropped: the QR of A^T gives A = (R^T F)(F* Q^T), F the
+    unitary DFT, which keeps the zeros of the triangle R out of the
+    stored blocks.
     """
     *transfer, leaf = levels
     lo = first
@@ -272,11 +280,23 @@ def _refactor(cur: np.ndarray, levels, first: int) -> None:
         nb, rows = cur.shape[:2]
         half = rows // t
         stacked = cur.reshape(nb, t, half, pairs, two_k).swapaxes(2, 3)
-        uu, ss, vh = np.linalg.svd(stacked, full_matrices=False)
-        out[lo:lo + nb] = vh[..., :k_out, :].swapaxes(1, 2)
-        del vh  # free before new_u
-        new_u = uu[..., :k_out] * ss[..., None, :k_out]  # (nb, t, pairs, half, k)
-        cur = new_u.swapaxes(2, 3).reshape(nb * t, half, pairs, k_out)
+        level = out[lo:lo + nb].swapaxes(1, 2)  # (nb, t, pairs, k_out, 2k)
+        shape = (nb, t, half, pairs, k_out)  # the next level's input
+        if k_out == half:
+            q, r = np.linalg.qr(stacked.swapaxes(-1, -2))
+            f = np.fft.fft(np.eye(half), norm="ortho")  # unitary DFT
+            np.matmul(f.conj().T, q.swapaxes(-1, -2), out=level)
+            del q  # free before the next level's input
+            new_u = np.empty(shape, dtype=np.complex128)
+            np.matmul(r.swapaxes(-1, -2), f, out=new_u.swapaxes(2, 3))
+        else:
+            uu, ss, vh = np.linalg.svd(stacked, full_matrices=False)
+            level[...] = vh[..., :k_out, :]
+            del vh  # free before the next level's input
+            new_u = np.empty(shape, dtype=np.complex128)
+            np.multiply(uu[..., :k_out], ss[..., None, :k_out],
+                        out=new_u.swapaxes(2, 3))
+        cur = new_u.reshape(nb * t, half, pairs, k_out)
         lo *= t
     nb, rows, _, k = cur.shape
     leaf[lo:lo + nb] = cur.reshape(nb, 1, 1, rows, k)

@@ -178,6 +178,62 @@ def test_recursion_exact_rank_input(rng):
     assert _chain_reconstruction_error(u_h, outer, chain) <= 1e-10
 
 
+def _svd_refactor(cur, levels, first):
+    """Reference refactoring: the leading k_out singular directions of
+    every block at every level, also where nothing is dropped."""
+    *transfer, leaf = levels
+    for out in transfer:
+        _, pairs, t, k_out, two_k = out.shape
+        nb, rows = cur.shape[:2]
+        stacked = cur.reshape(nb, t, rows // t, pairs, two_k).swapaxes(2, 3)
+        uu, ss, vh = np.linalg.svd(stacked, full_matrices=False)
+        out[first:first + nb] = vh[..., :k_out, :].swapaxes(1, 2)
+        new_u = uu[..., :k_out] * ss[..., None, :k_out]
+        cur = new_u.swapaxes(2, 3).reshape(nb * t, rows // t, pairs, k_out)
+        first *= t
+    nb, rows, _, k = cur.shape
+    leaf[first:first + nb] = cur.reshape(nb, 1, 1, rows, k)
+
+
+def _worst_gram_error(chain):
+    """Largest deviation of B B* from the identity over every block B."""
+    worst = 0.0
+    for tf in chain:
+        k_out, two_k = tf.blocks.shape[-2:]
+        blocks = tf.blocks.reshape(-1, k_out, two_k)
+        grams = blocks @ blocks.conj().swapaxes(-1, -2)
+        worst = max(worst, np.abs(grams - np.eye(k_out)).max())
+    return worst
+
+
+def test_refactoring_that_drops_nothing_is_exact():
+    # FIO n=256, leaf 0.25, r=8: 8-row middle blocks, so no level has more
+    # rows per output node than r, and every level takes the QR route
+    n, r = 256, 8
+    p = make_partition(n, 0.25)
+    assert p.mid_side // 2 <= r
+    u_h, _, v_h = middle_factorization_sampling(FioKernel(n), p, r, seed=0)
+    for middle, refactor in ((u_h, recursive_factor_u),
+                             (v_h, recursive_factor_v)):
+        outer, chain = refactor(middle, p, r)
+        assert _chain_reconstruction_error(middle, outer, chain) <= 1e-13
+        assert _worst_gram_error(chain) <= 1e-12
+
+
+def test_exact_levels_match_the_svd_at_every_level(monkeypatch):
+    # FIO n=512, leaf 1, r=6: 16 and 8 rows per output node truncate at
+    # levels 4 and 5, 4 and 2 rows keep everything at levels 6 and 7
+    n, r = 512, 6
+    p = make_partition(n, 1)
+    assert p.mid_side == 32 and len(chain_geometry(p, r)) == 5
+    f = factorize(FioKernel(n), p, r, seed=0)
+    monkeypatch.setattr(construct, "_refactor", _svd_refactor)
+    reference = factorize(FioKernel(n), p, r, seed=0)
+    want = reference.dense()
+    assert np.linalg.norm(f.dense() - want) <= 1e-12 * np.linalg.norm(want)
+    assert _worst_gram_error(f.g_chain + f.h_chain) <= 1e-12
+
+
 def test_recursion_nnz_closed_form():
     n, r = 64, 2
     p = make_partition(n, 0.25)
@@ -351,7 +407,7 @@ def test_streaming_peak_memory_near_factor_bytes():
 def test_sampling_peak_memory_near_factor_bytes(monkeypatch):
     # fio-ref geometry on two workers: the middle-level U (n m r entries)
     # is freed once it is refactored, before V is, so the traced peak
-    # reads 1.46x the factors (1.76x while U lived on)
+    # reads 1.40x the factors (1.76x while U lived on)
     n = 1024
     p = make_partition(n, 0.25)
     use_workers(monkeypatch, 2)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from butterfly import FioKernel, factorize, make_partition
+from butterfly import FioKernel, HankelKernel, factorize, make_partition
 from butterfly import _pool
 
 from conftest import complex_gaussian, random_exact_chain, use_workers
@@ -114,6 +114,17 @@ def test_stored_entries_are_almost_all_nonzero():
     # rank-exact levels: no zero padding, even two levels past single indices
     n = 256
     f = factorize(FioKernel(n), make_partition(n, 0.25), 8, seed=0)
+    arrays = [f.u_outer.blocks, f.v_outer.blocks, f.middle.weights]
+    arrays += [tf.blocks for tf in f.g_chain + f.h_chain]
+    zeros = sum(a.size - np.count_nonzero(a) for a in arrays)
+    assert zeros < 0.01 * f.nnz_report().total
+
+
+def test_stored_hankel_entries_are_almost_all_nonzero():
+    # levels that keep every row (4, 2 and 1 rows per node below the
+    # first, truncating level) store no zeros from their QR's triangle
+    n = 512
+    f = factorize(HankelKernel(n), make_partition(n, 0.25), 6, seed=0)
     arrays = [f.u_outer.blocks, f.v_outer.blocks, f.middle.weights]
     arrays += [tf.blocks for tf in f.g_chain + f.h_chain]
     zeros = sum(a.size - np.count_nonzero(a) for a in arrays)
