@@ -4,14 +4,14 @@ Stage one compresses every middle-level block to rank r, from sampled
 entries or from applications of the operator, into block-diagonal left and
 right factors and a weighted permutation.  It works by block line: the m
 blocks of a block row (or, for the streaming right side, a block column)
-come out as one stack of rank-r triples, which one assembler places.  Each
-entry read (a line, a block or an engine sample) is one checked oracle call,
-:func:`_read`.
+come out as stacks of rank-r triples, which one assembler places.  Each
+entry read (a line, a run of one, a block or an engine sample) is one
+checked oracle call, :func:`_read`.
 
 * entry oracle, blocks at the dense limit or marked ``whole_rows`` -- one
   ``block`` call per line and one stacked sketched (for narrow blocks,
-  truncated) SVD; streaming reads such a line block by block unless the
-  oracle is ``whole_rows``, so it never holds a side x n line;
+  truncated) SVD; streaming, unless the oracle is ``whole_rows``, does the
+  same per run of blocks sized by :data:`STREAM_RUN_SHARE`;
 * entry oracle above the dense limit -- the randomized sampling engine
   block by block, four reads a block, its results stacked;
 * operator oracle -- K and K* applied to block-diagonal Gaussian probes,
@@ -25,10 +25,8 @@ the leading singular directions of each block; a level that keeps every
 row only needs an orthonormal row basis and takes one batched QR instead.
 
 Each public stage function runs its pure linear algebra on the thread
-pool that the process keeps: one thread per CPU the process may run on
-when BLAS is limited to one thread, fewer when each BLAS call may already
-use several CPUs (see :mod:`butterfly._pool`).  Oracles are
-called only from the calling thread, in a fixed order: the caller reads
+pool that the process keeps (:mod:`butterfly._pool` sizes it).  Oracles
+are called only from the calling thread, in a fixed order: the caller reads
 each block line (and checks it for non-finite values) while at most one
 line per worker is compressed and placed in the pool, and the refactoring,
 which reads no oracle, runs the groups of middle nodes that
@@ -37,11 +35,9 @@ computed as it would be alone, and a slice of a stacked LAPACK call equals
 the call on that slice, so the factors are bit-identical for any CPU count.
 
 Randomness is derived per block from the master seed (spawn keys carry the
-block coordinates), so results are independent of the schedule: the
-streaming mode rebuilds one diagonal block at a time with O(n log n) peak
-memory and produces bit-identical factors.  It stays serial on purpose: it
-compresses each block as soon as it is read, and lines in flight on a pool
-would raise the peak it exists to keep.
+block coordinates), so results are independent of the schedule: streaming
+refactors one block line at a time with O(n log n) peak memory and
+bit-identical factors, serially (see :data:`STREAM_RUN_SHARE`).
 """
 
 from __future__ import annotations
@@ -63,6 +59,14 @@ _SAMPLING_DOMAIN = 0
 _COL_PROBE_DOMAIN = 1
 _ROW_PROBE_DOMAIN = 2
 _SKETCH_DOMAIN = 3
+
+#: Streaming reads a block line in runs of blocks holding at most
+#: 1/STREAM_RUN_SHARE of the factor bytes, one call and one stacked SVD a
+#: run.  FIO n=512, leaf 1, r=6 (runs of 4) on 2 cores, BLAS on one thread,
+#: runs of 1 / 2 / 4 / 8 / 16: 0.185 / 0.138 / 0.122 / 0.109 / 0.101 s, peak
+#: 1.970 / 1.986 / 2.053 / 2.301 / 2.798 MB (factors 1.749 MB).  Runs of 4
+#: compressed on the pool while the next was read: 0.190 s and 2.367 MB.
+STREAM_RUN_SHARE = 24
 
 def check_seed(seed):
     """``seed`` if it is a non-negative integer; ``None`` is rejected too."""
@@ -129,44 +133,34 @@ def _as_row(apx: LowRankApprox, column: bool) -> LowRankApprox:
     return LowRankApprox(apx.v0, apx.sigma0, apx.u0) if column else apx
 
 
-def _entry_line(entry, p, r, seed, k, column=False, streaming=False):
-    """Read block row k through the entry oracle, on the calling thread.
+def _entry_line(entry, p, r, seed, k, run, column=False):
+    """Read the blocks ``run`` (a range: the whole line when sampling) of
+    block row k, or with ``column`` of block column k, on the calling thread.
 
-    Returns a callable that finishes the line's stacked rank-r triples
-    without calling the oracle.  With ``column`` the line is block column
-    k, finished as block row k of the adjoint (u0 and v0 swapped), so that
-    it is placed like a row.  Only a dense line read in one call is left
-    to finish: streaming compresses each block as soon as it is read, and
-    the sampling engine calls the oracle between its own steps.
+    Returns a callable that finishes their stacked rank-r triples, a column's
+    as block row k of the adjoint (u0 and v0 swapped), without calling the
+    oracle: the sampling engine, which reads between its steps, is run here.
     """
-    m, side = p.mid_nodes, p.mid_side
-    line = (range(m), [k]) if column else ([k], range(m))
+    side = p.mid_side
+    line = (run, [k]) if column else ([k], run)
     ids = [(i, j) for i in line[0] for j in line[1]]
-    whole_rows = getattr(entry, "whole_rows", False)
-    if whole_rows or at_dense_limit(side, side, r):
-        if whole_rows or not streaming:
-            blocks = _read(entry, p, *line)
-            return lambda: _as_row(_compress_dense(ids, blocks, r, seed),
-                                   column)
-        parts = [_compress_dense([b], _read(entry, p, [b[0]], [b[1]]), r, seed)
-                 for b in ids]
-        join = np.concatenate
-    else:
-        parts = [randomized_sampling_svd(
-            lambda rows, cols: _read(entry, p, [i], [j], rows, cols)[0],
-            side, side, r, block_rng(seed, _SAMPLING_DOMAIN, i, j))
-            for i, j in ids]
-        join = np.stack
-    u0, sigma0, v0 = map(join, zip(*((a.u0, a.sigma0, a.v0) for a in parts)))
-    done = _as_row(LowRankApprox(u0, sigma0, v0), column)
+    if getattr(entry, "whole_rows", False) or at_dense_limit(side, side, r):
+        blocks = _read(entry, p, *line)
+        return lambda: _as_row(_compress_dense(ids, blocks, r, seed), column)
+    parts = [randomized_sampling_svd(
+        lambda rows, cols: _read(entry, p, [i], [j], rows, cols)[0],
+        side, side, r, block_rng(seed, _SAMPLING_DOMAIN, i, j))
+        for i, j in ids]
+    done = _as_row(LowRankApprox(*map(np.stack, zip(
+        *((a.u0, a.sigma0, a.v0) for a in parts)))), column)
     return lambda: done
 
 
 def _place_line(apx: LowRankApprox, u_row, v_col=None, w_row=None):
-    """Write the stacked triples of one block row i, block (i, j) going to
-    ``u[i, :, j, :]``, ``v[j, :, i, :]`` and ``w[i, j]``; the arguments
-    are the views ``u[i]``, ``v[:, :, i]`` and ``w[i]`` (the last two optional).
-    """
+    """Write the stacked triples of block row i, or of a run of it, block
+    (i, j) going to ``u[i, :, j, :]``, ``v[j, :, i, :]`` and ``w[i, j]``
+    through the views ``u[i]``, ``v[:, :, i]`` and ``w[i]`` (the last two
+    optional), or the run's parts of them."""
     scaled = apx.sigma0[:, None, :]
     u_row[...] = (apx.u0 * scaled).swapaxes(0, 1)
     if v_col is not None:
@@ -199,7 +193,7 @@ def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization through an entry oracle, by block row."""
     check_seed(seed)
     m, _ = check_rank(p, r)
-    return _middle_level(p, r, (_entry_line(entry, p, r, seed, i)
+    return _middle_level(p, r, (_entry_line(entry, p, r, seed, i, range(m))
                                 for i in range(m)))
 
 
@@ -366,6 +360,9 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
 
 def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
     m, side = check_rank(p, r)
+    held = 2 * sum(int(np.prod(shape)) for _, shape in chain_geometry(p, r))
+    step = (m if getattr(entry, "whole_rows", False)
+            else max(1, held // (STREAM_RUN_SHARE * side * side)))
     weights = np.empty((m, m, r))
     sides = []
     for column in (False, True):
@@ -373,8 +370,11 @@ def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
         for k in range(m):
             # the u side takes block row k, the v side block column k
             slab = np.empty((1, side, m, r), dtype=np.complex128)
-            line = _entry_line(entry, p, r, seed, k, column, streaming=True)()
-            _place_line(line, slab[0], w_row=None if column else weights[k])
+            for lo in range(0, m, step):  # a run of blocks a call
+                run = slice(lo, lo + step)
+                line = _entry_line(entry, p, r, seed, k, range(m)[run], column)
+                _place_line(line(), slab[0][:, run],
+                            w_row=None if column else weights[k][run])
             _refactor(slab, levels, k)
         sides.append(_side(p, r, levels))
     (u_outer, g_chain), (v_outer, h_chain) = sides

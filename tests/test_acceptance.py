@@ -23,6 +23,7 @@ from butterfly import (ComposedOperator, DenseOracle, FioKernel,
 from butterfly.bench import derive_seed
 from butterfly.bessel import hankel1_orders
 from butterfly.construct import block_rng
+from butterfly.lowrank import at_dense_limit
 
 from conftest import complex_gaussian, prescribed_svd_matrix, \
     random_exact_chain
@@ -191,9 +192,13 @@ def test_criterion_5_apply_cost():
     assert speedup >= 20.0
 
 
-def test_criterion_6_exact_rank_oracle_equivalence():
-    n, r = 256, 4
+@pytest.mark.parametrize("n, r, dense", [(256, 4, True), (4096, 1, False)])
+def test_criterion_6_exact_rank_oracle_equivalence(n, r, dense):
+    # n=4096, r=1 puts the middle blocks (side 64) above the 32r crossover,
+    # where the randomized sampling engine compresses them from sampled
+    # rows and columns instead of reading them whole
     p = make_partition(n, 1)
+    assert at_dense_limit(p.mid_side, p.mid_side, r) == dense
     rng = np.random.default_rng(60)
     chain = random_exact_chain(p, r, rng)
     k = chain.dense()
@@ -204,7 +209,9 @@ def test_criterion_6_exact_rank_oracle_equivalence():
         want = k @ g
         worst = max(worst, np.linalg.norm(f.apply(g) - want)
                     / np.linalg.norm(want))
-    print(f"criterion 6 (exact-rank reproduction): worst {worst:.2e} <= 1e-10")
+    route = "dense lines" if dense else "sampling engine"
+    print(f"criterion 6 (exact-rank reproduction, n={n}, r={r}, {route}):"
+          f" worst {worst:.2e} <= 1e-10")
     assert worst <= 1e-10
 
 

@@ -278,7 +278,8 @@ def test_factorize_dense_error_small_fio():
 ENGINE_CASES = [(FioKernel, 1024, 4, 1)]
 # Middle sides 8, 4, 16 and 16 take dense lines compressed by a truncated
 # SVD (r + 5 above half the side) and FIO side 32 at r=4 the sketched SVD.
-# Streaming reads FIO's dense lines block by block and Hankel's, whose
+# Streaming reads FIO's dense lines in runs of blocks sized from the factor
+# bytes (16, the whole line, at n=128; 9 at n=1024) and Hankel's, whose
 # blocks cost whole rows, as whole block rows and columns.
 STREAMING_CASES = [(FioKernel, 128, 0.25, 4), (HankelKernel, 64, 0.25, 3),
                    (FioKernel, 256, 1, 4), (HankelKernel, 256, 1, 4),
@@ -292,6 +293,28 @@ def test_streaming_matches_sampling_bitwise(kernel, n, leaf, r):
     assert at_dense_limit(p.mid_side, p.mid_side, r) != engine
     a = factorize(kernel(n), p, r, seed=9, mode="sampling")
     b = factorize(kernel(n), p, r, seed=9, mode="streaming")
+    assert factors_equal(a, b)
+
+
+@pytest.mark.parametrize("share, step", [(32, 3), (20, 5), (17, 6)])
+def test_ragged_streaming_runs_match_sampling_bitwise(monkeypatch, share,
+                                                      step):
+    # fio-stream's geometry (16 blocks of 32 x 32 a line) in runs that do
+    # not divide the line: each block row (U side) and column (V side) ends
+    # in a short run
+    n, r = 512, 6
+    p = make_partition(n, 1)
+    monkeypatch.setattr(construct, "STREAM_RUN_SHARE", share)
+    runs = []
+
+    class Runs(CountingOracle):
+        def block(self, rows, cols):
+            runs.append(np.size(rows) * np.size(cols) // 32 ** 2)
+            return super().block(rows, cols)
+
+    a = factorize(FioKernel(n), p, r, seed=3, mode="sampling")
+    b = factorize(Runs(FioKernel(n)), p, r, seed=3, mode="streaming")
+    assert runs == ([step] * (16 // step) + [16 % step]) * 32
     assert factors_equal(a, b)
 
 
@@ -343,15 +366,15 @@ class CountingOracle:
 
 @pytest.mark.parametrize("kernel, n, leaf, mode, calls", [
     (FioKernel, 128, 0.25, "sampling", 16),
-    (FioKernel, 128, 0.25, "streaming", 512),
+    (FioKernel, 128, 0.25, "streaming", 32),
     (HankelKernel, 256, 1, "sampling", 16),
     (HankelKernel, 256, 1, "streaming", 32)])
 def test_dense_limit_one_oracle_call_per_block_line(kernel, n, leaf, mode,
                                                     calls):
     # 16 middle nodes at r=4: sampling makes one call per block row instead
-    # of one per block.  Streaming reads FIO's dense lines one block at a
-    # time on each side (16 x 16 x 2 calls); Hankel's blocks cost whole
-    # rows, so it reads whole block rows and columns
+    # of one per block.  Streaming's runs of FIO's 8 x 8 blocks may hold 18
+    # blocks, so it too reads each line whole, on each side (16 x 2 calls);
+    # Hankel's blocks cost whole rows, so it reads whole rows and columns
     p = make_partition(n, leaf)
     assert p.mid_nodes == 16
     oracle = CountingOracle(kernel(n))
@@ -371,11 +394,11 @@ def test_whole_rows_oracle_reads_whole_lines_above_the_crossover(mode):
 
 
 @pytest.mark.parametrize("mode, calls, reads", [("sampling", 16, 1),
-                                                ("streaming", 512, 2)])
+                                                ("streaming", 128, 2)])
 def test_dense_lines_evaluate_each_entry_once_per_line(mode, calls, reads):
     # FIO n=512, leaf 1, r=6: 32 x 32 blocks below the crossover.  Sampling
-    # reads each block row whole; streaming reads each block alone, once
-    # for its block row and once for its block column
+    # reads each block row whole; streaming reads each in runs of 4 blocks,
+    # once for its block row and once for its block column
     n = 512
     p = make_partition(n, 1)
     assert (p.mid_nodes, p.mid_side) == (16, 32) and at_dense_limit(32, 32, 6)
@@ -384,17 +407,19 @@ def test_dense_lines_evaluate_each_entry_once_per_line(mode, calls, reads):
     assert (oracle.calls, oracle.entries) == (calls, reads * n * n)
 
 
-def test_streaming_peak_memory_near_factor_bytes():
-    # block-at-a-time dense lines never hold a side x n line: the traced
-    # peak stays within 1.25x of the factors it returns (whole lines: 1.57x)
-    n = 512
+@pytest.mark.parametrize("n, r", [(512, 6), (1024, 4)])
+def test_streaming_peak_memory_near_factor_bytes(n, r):
+    # dense lines read in runs of blocks (4 at n=512, 9 at n=1024) written
+    # straight into the line: the traced peak reads 1.17x and 1.14x of the
+    # factors it returns (one block a call: 1.21x and 1.13x; whole lines:
+    # 1.57x at n=512)
     p = make_partition(n, 1)
     # warm up: a first factorization in a process also traces lazily
     # initialised library state
-    factorize(FioKernel(n), p, 6, seed=0, mode="streaming")
+    factorize(FioKernel(n), p, r, seed=0, mode="streaming")
     tracemalloc.start()
     try:
-        f = factorize(FioKernel(n), p, 6, seed=0, mode="streaming")
+        f = factorize(FioKernel(n), p, r, seed=0, mode="streaming")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -466,7 +491,7 @@ def test_non_finite_oracle_output_names_the_block(mode, n, leaf, whole):
 
 @pytest.mark.parametrize("mode, n, leaf, r, named", [
     ("sampling", 512, 1, 6, r"blocks \(0, 0\) to \(0, 15\)"),  # one call a row
-    ("streaming", 512, 1, 6, r"block \(0, 0\)$"),  # one a block
+    ("streaming", 512, 1, 6, r"blocks \(0, 0\) to \(0, 3\)$"),  # a run
     # above the crossover the sampling engine reads a block in several calls
     ("sampling", 1024, 4, 1, r"block \(0, 0\)$"),
     ("streaming", 1024, 4, 1, r"block \(0, 0\)$")])
