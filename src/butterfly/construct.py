@@ -6,17 +6,19 @@ right factors and a weighted permutation.  It works by block line: the m
 blocks of a block row (or, for the streaming right side, a block column)
 come out as stacks of rank-r triples, which one assembler places.  Each
 entry read (a line, a run of one, a block or an engine sample) is one
-checked oracle call, :func:`_read`.
+checked oracle call, :func:`_checked`.
 
 * entry oracle, blocks at the dense limit or marked ``whole_rows`` -- one
   ``block`` call per line and one stacked sketched (for narrow blocks,
-  truncated) SVD; streaming, unless the oracle is ``whole_rows``, does the
-  same per run of blocks sized by :data:`STREAM_RUN_SHARE`;
+  :func:`_narrow`, truncated) SVD; streaming, unless the oracle is
+  ``whole_rows``, does the same per run of blocks (:data:`STREAM_RUN_SHARE`);
 * entry oracle above the dense limit -- the randomized sampling engine
   block by block, four reads a block, its results stacked;
-* operator oracle -- K and K* applied to block-diagonal Gaussian probes,
-  one application of each per 128 probe columns, built slice by slice
-  from the m diagonal blocks; then one stacked probe finish per block row.
+* operator oracle, narrow blocks -- K* applied to 128 // side block rows of
+  identity columns a call gives block rows of K, finished as dense lines;
+* operator oracle, wider blocks -- K and K* applied to block-diagonal
+  Gaussian probes, 128 probe columns a call, built slice by slice from the
+  m diagonal blocks; then one stacked probe finish per block row.
 
 Stage two recursively refactors the left and right factors level by level,
 splitting rows and merging sibling column groups, until the leaf level.  A
@@ -93,36 +95,49 @@ def _non_finite(source, i, j) -> OracleError:
                        f"block ({i}, {j})")
 
 
-def _read(entry, p, row_nodes, col_nodes, rows=None, cols=None):
-    """Middle blocks ``row_nodes`` x ``col_nodes`` (one block or a run of a
-    block line) on local ``rows`` and ``cols``, all by default, read in one
-    call and checked: a stack, one block each in line order, that views the
-    oracle's output."""
-    side = p.mid_side
-    rows, cols = (np.arange(side) if x is None else x for x in (rows, cols))
-    ids = [(i, j) for i in row_nodes for j in col_nodes]
+def _checked(call, source, where, ids, rows, cols, locate=lambda *b: b):
+    """The blocks ``ids`` (rows x cols each, in line order) of one oracle
+    call's block rows, as a stack; a failed call names ``where``, and
+    non-finite output the first bad block, or the one ``locate`` finds."""
     try:
-        values = entry.block(
-            np.add.outer(np.multiply(row_nodes, side), rows).ravel(),
-            np.add.outer(np.multiply(col_nodes, side), cols).ravel())
+        values = call()
     except Exception as exc:  # keep the failing blocks identifiable
-        where = (f"block {ids[0]}" if len(ids) == 1
-                 else f"blocks {ids[0]} to {ids[-1]}")
-        raise OracleError(f"entry oracle failed on middle {where}") from exc
-    blocks = values.reshape(len(row_nodes), rows.size, -1, cols.size)
-    blocks = blocks.swapaxes(1, 2).reshape(len(ids), rows.size, cols.size)
+        raise OracleError(f"{source} failed on middle {where}") from exc
+    blocks = values.reshape(-1, rows, values.shape[1] // cols, cols)
+    blocks = blocks.swapaxes(1, 2).reshape(len(ids), rows, cols)
     finite = np.isfinite(blocks).all(axis=(1, 2))
     if not finite.all():
-        raise _non_finite("entry oracle", *ids[int(np.argmin(finite))])
+        raise _non_finite(source, *locate(*ids[int(np.argmin(finite))]))
     return blocks
 
 
+def _read(entry, p, row_nodes, col_nodes, rows=None, cols=None):
+    """Middle blocks ``row_nodes`` x ``col_nodes`` (one block or a run of a
+    block line) on local ``rows`` and ``cols``, all by default, read in one
+    checked call."""
+    side = p.mid_side
+    rows, cols = (np.arange(side) if x is None else x for x in (rows, cols))
+    ids = [(i, j) for i in row_nodes for j in col_nodes]
+    where = (f"block {ids[0]}" if len(ids) == 1
+             else f"blocks {ids[0]} to {ids[-1]}")
+    return _checked(lambda: entry.block(
+        np.add.outer(np.multiply(row_nodes, side), rows).ravel(),
+        np.add.outer(np.multiply(col_nodes, side), cols).ravel()),
+        "entry oracle", where, ids, rows.size, cols.size)
+
+
+def _narrow(side, r) -> bool:
+    """Whether side-wide blocks are read whole and truncated: r + 5 sketch
+    or probe columns a side would exceed half of them."""
+    return r + PROBE_OVERSAMPLING > side // 2
+
+
 def _compress_dense(ids, blocks, r, seed) -> LowRankApprox:
-    """Stacked rank-r triples of the blocks ``ids`` read by :func:`_read`."""
+    """Stacked rank-r triples of blocks ``ids`` read by :func:`_checked`."""
     side = blocks.shape[-1]
-    width = r + PROBE_OVERSAMPLING
-    if width > side // 2:
+    if _narrow(side, r):
         return truncated_svd(blocks, r)
+    width = r + PROBE_OVERSAMPLING
     omega = [complex_normal(block_rng(seed, _SKETCH_DOMAIN, *b), (side, width))
              for b in ids]
     return sketched_svd(blocks, r, np.stack(omega))
@@ -225,17 +240,47 @@ def _check_probe_products(k_cols, k_rows):
         raise _non_finite("operator oracle", i, j)
 
 
+def _identity_lines(op, p, r, seed):
+    """Callables finishing the block rows of K, read 128 // side at a time
+    (a probe slice's width) as K* applied to identity columns."""
+    m, side = p.mid_nodes, p.mid_side
+
+    def locate(i, j):
+        # a non-finite K[a, b] fills column b of every slice of K*, so (i, j)
+        # is only the first block of its column: K of the column raises,
+        # naming the block of row a (an operator that disagrees keeps (i, j))
+        _checked(lambda: op.apply(np.eye(p.n, side, -j * side, complex)),
+                 "operator oracle", f"block column {j}",
+                 [(a, j) for a in range(m)], side, side)
+        return i, j
+
+    step = max(1, 128 // side)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        ids = [(i, j) for i in range(lo, hi) for j in range(m)]
+        eye = np.eye(p.n, (hi - lo) * side, -lo * side, complex)
+        blocks = _checked(lambda: np.conj(op.apply_adjoint(eye)).T,
+                          "operator oracle", f"block rows {lo} to {hi - 1}",
+                          ids, side, side, locate)
+        for k in range(0, len(ids), m):
+            yield partial(_compress_dense, ids[k:k + m], blocks[k:k + m], r,
+                          seed)
+
+
 def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization from black-box applications of K and K*.
 
-    One structured probe per side feeds every middle block: the column probe
-    shares its diagonal block across all block rows, so each application
-    of the operator to a slice of it covers the whole level.  Each block
-    row is finished from the stored products alone, in one stacked pass.
+    Narrow blocks (:func:`_narrow`) are read whole, K* of identity columns
+    giving block rows of K.  Wider ones take one structured probe per side:
+    the column probe shares its diagonal block across all block rows, so an
+    application to a slice of it covers the level, and each block row is
+    finished from the stored products alone, in one stacked pass.
     """
     check_seed(seed)
     m, side = check_rank(p, r)
-    width = min(r + PROBE_OVERSAMPLING, side)  # whole blocks once they are small
+    if _narrow(side, r):
+        return _middle_level(p, r, _identity_lines(op, p, r, seed))
+    width = r + PROBE_OVERSAMPLING
     col_probe, row_probe = (
         np.stack([complex_normal(block_rng(seed, domain, j), (side, width))
                   for j in range(m)])
@@ -329,7 +374,7 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
     """Build the full sparse chain for the operator behind ``oracle``.
 
     mode="sampling"   entry oracle, whole middle level in memory;
-    mode="matvec"     operator oracle, structured random probes;
+    mode="matvec"     operator oracle, identity slices or random probes;
     mode="streaming"  entry oracle, one middle block row/column at a time
                       (O(n log n) peak memory, bit-identical factors).
     """

@@ -82,8 +82,9 @@ def test_middle_identity_blockwise():
 def test_middle_matvec_identity_operator(rng):
     # The identity only satisfies the block low-rank condition at full
     # middle-block rank: its diagonal middle blocks are identity matrices of
-    # side n/m, so the reconstruction claim holds for r = n/m (the probes
-    # are then whole blocks, side columns wide).
+    # side n/m, so the reconstruction claim holds for r = n/m (the blocks
+    # are then read whole from K* of identity columns, r + 5 being over
+    # half their side).
     n = 64
     p = make_partition(n, 1)
     r = p.mid_side
@@ -347,7 +348,7 @@ def test_batched_dense_middle_matches_per_block_reference(kernel, n, r):
 class CountingOracle:
     def __init__(self, inner):
         self.inner, self.shape, self.calls = inner, inner.shape, 0
-        self.entries = 0
+        self.entries, self.applied = 0, []
         self.whole_rows = getattr(inner, "whole_rows", False)
 
     def block(self, rows, cols):
@@ -357,11 +358,29 @@ class CountingOracle:
 
     def apply(self, x):
         self.calls += 1
+        self.applied.append(("apply", x.shape[1]))
         return self.inner.apply(x)
 
     def apply_adjoint(self, x):
         self.calls += 1
+        self.applied.append(("apply_adjoint", x.shape[1]))
         return self.inner.apply_adjoint(x)
+
+
+@pytest.mark.parametrize("n, leaf, r, applied", [
+    # side 16: r + 5 = 13 is over half a side, so block rows of K are read
+    # whole from K* of identity columns, 8 block rows (128 columns) a call
+    (512, 0.5, 8, [("apply_adjoint", 128)] * 4),
+    # side 64: r + 5 = 9 is at most half a side, so 16 blocks take 144
+    # Gaussian probe columns a side, in calls of 128 and 16
+    (1024, 4, 4, [("apply", 128), ("apply", 16), ("apply_adjoint", 128),
+                  ("apply_adjoint", 16)])])
+def test_matvec_reads_narrow_blocks_whole_and_probes_wider_ones(n, leaf, r,
+                                                               applied):
+    p, op, _, mode = build_operator("composition", n, r, leaf, "matvec", 0)
+    oracle = CountingOracle(op)
+    factorize(oracle, p, r, seed=0, mode=mode)
+    assert oracle.applied == applied and oracle.calls == len(applied)
 
 
 @pytest.mark.parametrize("kernel, n, leaf, mode, calls", [
@@ -481,7 +500,9 @@ def _matrix_with_nan_block(n, leaf, i, j, whole):
     ("matvec", 128, 0.25, False), ("sampling", 256, 1, True),
     ("streaming", 256, 1, True),
     # sketched dense lines (side 32)
-    ("sampling", 1024, 1, False), ("streaming", 1024, 1, False)])
+    ("sampling", 1024, 1, False), ("streaming", 1024, 1, False),
+    # operator probes above the identity crossover (side 64, r + 5 = 9)
+    ("matvec", 1024, 4, False)])
 def test_non_finite_oracle_output_names_the_block(mode, n, leaf, whole):
     p, oracle = _matrix_with_nan_block(n, leaf, 2, 5, whole)
     assert at_dense_limit(p.mid_side, p.mid_side, 4)
@@ -505,6 +526,31 @@ def test_failing_entry_oracle_names_the_blocks_it_was_reading(mode, n, leaf,
 
     with pytest.raises(OracleError, match=rf"middle {named}"):
         factorize(Failing(), make_partition(n, leaf), r, seed=0, mode=mode)
+
+
+@pytest.mark.parametrize("n, leaf, r, fails, named", [
+    # identity slices: K* of 8 block rows a call (side 16)
+    (512, 0.5, 8, "both", r"middle block rows 0 to 7"),
+    # a non-finite slice of K* sends K to its first flagged block column
+    (512, 0.5, 8, "apply", r"middle block column 0"),
+    (1024, 4, 4, "both", r"the probe block")])  # probes (side 64)
+def test_failing_operator_oracle_names_what_it_was_applying(n, leaf, r,
+                                                           fails, named):
+    class Failing:
+        shape = (n, n)
+
+        def apply(self, x):
+            raise RuntimeError("unavailable")
+
+        def apply_adjoint(self, x):
+            if fails == "both":
+                raise RuntimeError("unavailable")
+            return np.full(x.shape, np.nan, dtype=complex)
+
+    with pytest.raises(OracleError,
+                       match=rf"operator oracle failed on {named}$"):
+        factorize(Failing(), make_partition(n, leaf), r, seed=0,
+                  mode="matvec")
 
 
 @pytest.mark.parametrize("mode", ["sampling", "streaming"])
@@ -650,7 +696,8 @@ class LoggingOperatorOracle(LoggingEntryOracle):
     ("sampling", 256, 1, 2),      # dense lines, sketched SVD
     ("sampling", 1024, 4, 1),     # sampling engine (side 64 > 32 r)
     ("streaming", 256, 1, 2),
-    ("matvec", 128, 0.25, 4)])
+    ("matvec", 128, 0.25, 4),     # identity slices (r + 5 over side / 2)
+    ("matvec", 1024, 4, 4)])      # probes (side 64)
 def test_oracles_are_called_from_the_calling_thread_in_serial_order(
         monkeypatch, mode, n, leaf, r):
     if mode == "matvec":
