@@ -4,9 +4,11 @@ Stage one compresses every middle-level block to rank r, from sampled
 entries or from applications of the operator, into block-diagonal left and
 right factors and a weighted permutation.  It works by block line: the m
 blocks of a block row (or, for the streaming right side, a block column)
-come out as stacks of rank-r triples, which one assembler places.  Each
-entry read (a line, a run of one, a block or an engine sample) is one
-checked oracle call, :func:`_checked`.
+come out as stacks of rank-r triples, which one assembler places.  Every
+oracle application (a line, a run of one, a block, an engine sample or a
+product of K or K*) is one :func:`_checked` call: it names what it read if
+the call fails or returns another shape, and the first non-finite block of
+K otherwise (found by :func:`_locate` where a product spreads it).
 
 * entry oracle, blocks at the dense limit or marked ``whole_rows`` -- one
   ``block`` call per line and one stacked sketched (for narrow blocks,
@@ -29,12 +31,12 @@ row only needs an orthonormal row basis and takes one batched QR instead.
 Each public stage function runs its pure linear algebra on the thread
 pool that the process keeps (:mod:`butterfly._pool` sizes it).  Oracles
 are called only from the calling thread, in a fixed order: the caller reads
-each block line (and checks it for non-finite values) while at most one
-line per worker is compressed and placed in the pool, and the refactoring,
-which reads no oracle, runs the groups of middle nodes that
-:func:`butterfly._pool.spans` cuts side by side.  Every unit of work is
-computed as it would be alone, and a slice of a stacked LAPACK call equals
-the call on that slice, so the factors are bit-identical for any CPU count.
+and checks each block line while at most one line per worker is compressed
+and placed in the pool, and the refactoring, which reads no oracle, runs
+the groups of middle nodes that :func:`butterfly._pool.spans` cuts side by
+side.  Every unit of work is computed as it would be alone, and a slice
+of a stacked LAPACK call equals the call on that slice, so the factors are
+bit-identical for any CPU count.
 
 Randomness is derived per block from the master seed (spawn keys carry the
 block coordinates), so results are independent of the schedule: streaming
@@ -90,40 +92,65 @@ def check_rank(p: DyadicPartition, r: int):
     return m, side
 
 
-def _non_finite(source, i, j) -> OracleError:
-    return OracleError(f"{source} returned non-finite values for middle "
-                       f"block ({i}, {j})")
+def _shaped(values, shape):
+    """``values`` if it is an array of ``shape``, else a ValueError."""
+    if values.shape != shape:
+        raise ValueError(f"oracle output is {values.shape}, not {shape}")
+    return values
 
 
-def _checked(call, source, where, ids, rows, cols, locate=lambda *b: b):
-    """The blocks ``ids`` (rows x cols each, in line order) of one oracle
-    call's block rows, as a stack; a failed call names ``where``, and
-    non-finite output the first bad block, or the one ``locate`` finds."""
+def _checked(call, source, where, row_nodes, col_nodes, rows, cols,
+             locate=lambda i, j: (i, j)):
+    """One oracle call's output as ``row_nodes`` x ``col_nodes`` blocks of
+    ``rows`` x ``cols``, a view [row node, col node, row, col].  A failed
+    call or an output of another shape names ``where``; non-finite output
+    names the first bad block, or the block ``locate`` finds from it."""
+    shape = (len(row_nodes) * rows, len(col_nodes) * cols)
     try:
-        values = call()
+        values = _shaped(call(), shape)
     except Exception as exc:  # keep the failing blocks identifiable
-        raise OracleError(f"{source} failed on middle {where}") from exc
-    blocks = values.reshape(-1, rows, values.shape[1] // cols, cols)
-    blocks = blocks.swapaxes(1, 2).reshape(len(ids), rows, cols)
-    finite = np.isfinite(blocks).all(axis=(1, 2))
-    if not finite.all():
-        raise _non_finite(source, *locate(*ids[int(np.argmin(finite))]))
+        raise OracleError(f"{source} failed on {where}") from exc
+    blocks = values.reshape(len(row_nodes), rows, -1, cols).swapaxes(1, 2)
+    bad = np.argwhere(~np.isfinite(blocks).all(axis=(2, 3)))
+    if bad.size:
+        i, j = locate(row_nodes[bad[0, 0]], col_nodes[bad[0, 1]])
+        raise OracleError(f"{source} returned non-finite values for middle "
+                          f"block ({i}, {j})")
     return blocks
+
+
+def _locate(op, p, adjoint, i, j):
+    """``locate`` for :func:`_checked` on products of K, or with ``adjoint``
+    of K*, as blocks of K.  A non-finite K[a, b] fills a's block row of K's
+    products (0 * nan) and b's block column of K*'s, so the first flagged
+    block (i, j) is exact only in i, or only in j: the other product, on
+    that node's identity columns, names the block (an operator that
+    disagrees keeps (i, j))."""
+    m, side = p.mid_nodes, p.mid_side
+    eye = np.eye(p.n, side, -(j if adjoint else i) * side, complex)
+    if adjoint:
+        _checked(lambda: op.apply(eye), "operator oracle",
+                 f"middle block column {j}", range(m), [j], side, side)
+    else:
+        _checked(lambda: op.apply_adjoint(eye).T, "operator oracle",
+                 f"middle block row {i}", [i], range(m), side, side)
+    return i, j
 
 
 def _read(entry, p, row_nodes, col_nodes, rows=None, cols=None):
     """Middle blocks ``row_nodes`` x ``col_nodes`` (one block or a run of a
     block line) on local ``rows`` and ``cols``, all by default, read in one
-    checked call."""
+    checked call and stacked in line order."""
     side = p.mid_side
     rows, cols = (np.arange(side) if x is None else x for x in (rows, cols))
-    ids = [(i, j) for i in row_nodes for j in col_nodes]
-    where = (f"block {ids[0]}" if len(ids) == 1
-             else f"blocks {ids[0]} to {ids[-1]}")
+    first, last = (row_nodes[0], col_nodes[0]), (row_nodes[-1], col_nodes[-1])
+    where = (f"middle block {first}" if first == last
+             else f"middle blocks {first} to {last}")
     return _checked(lambda: entry.block(
         np.add.outer(np.multiply(row_nodes, side), rows).ravel(),
         np.add.outer(np.multiply(col_nodes, side), cols).ravel()),
-        "entry oracle", where, ids, rows.size, cols.size)
+        "entry oracle", where, row_nodes, col_nodes, rows.size,
+        cols.size).reshape(-1, rows.size, cols.size)
 
 
 def _narrow(side, r) -> bool:
@@ -215,7 +242,7 @@ def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
 def _probe_products(apply_fn, probe: np.ndarray) -> np.ndarray:
     """``apply_fn`` of the block-diagonal probe whose diagonal blocks are
     ``probe`` (m, side, width), a slice of 128 columns built per call, as
-    (m, side, m, width): [output node, row, probe node, column]."""
+    (m side, m width)."""
     m, side, width = probe.shape
     out = np.empty((m * side, m * width), dtype=np.complex128)
     for lo in range(0, m * width, 128):  # probe columns per application
@@ -223,48 +250,26 @@ def _probe_products(apply_fn, probe: np.ndarray) -> np.ndarray:
         piece = np.zeros((m, side, cols.size), dtype=np.complex128)
         nodes = cols // width
         piece[nodes, :, cols - lo] = probe[nodes, :, cols % width]
-        out[:, lo:lo + cols.size] = apply_fn(piece.reshape(m * side, -1))
-    return out.reshape(m, side, m, width)
-
-
-def _check_probe_products(k_cols, k_rows):
-    """Raise OracleError naming the first block whose probe products are
-    not finite; a block bad on both sides is named first, since a single
-    bad operator entry spreads along a whole block row of K C (and column
-    of K* R) through the zero parts of the probes."""
-    bad_cols = ~np.isfinite(k_cols).all(axis=(1, 3))  # [output, probe node]
-    bad_rows = ~np.isfinite(k_rows).all(axis=(1, 3)).T
-    if bad_cols.any() or bad_rows.any():
-        both = bad_cols & bad_rows
-        i, j = np.argwhere(both if both.any() else bad_cols | bad_rows)[0]
-        raise _non_finite("operator oracle", i, j)
+        out[:, lo:lo + cols.size] = _shaped(
+            apply_fn(piece.reshape(m * side, -1)), (m * side, cols.size))
+    return out
 
 
 def _identity_lines(op, p, r, seed):
     """Callables finishing the block rows of K, read 128 // side at a time
     (a probe slice's width) as K* applied to identity columns."""
     m, side = p.mid_nodes, p.mid_side
-
-    def locate(i, j):
-        # a non-finite K[a, b] fills column b of every slice of K*, so (i, j)
-        # is only the first block of its column: K of the column raises,
-        # naming the block of row a (an operator that disagrees keeps (i, j))
-        _checked(lambda: op.apply(np.eye(p.n, side, -j * side, complex)),
-                 "operator oracle", f"block column {j}",
-                 [(a, j) for a in range(m)], side, side)
-        return i, j
-
     step = max(1, 128 // side)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        ids = [(i, j) for i in range(lo, hi) for j in range(m)]
         eye = np.eye(p.n, (hi - lo) * side, -lo * side, complex)
         blocks = _checked(lambda: np.conj(op.apply_adjoint(eye)).T,
-                          "operator oracle", f"block rows {lo} to {hi - 1}",
-                          ids, side, side, locate)
-        for k in range(0, len(ids), m):
-            yield partial(_compress_dense, ids[k:k + m], blocks[k:k + m], r,
-                          seed)
+                          "operator oracle", f"middle block rows {lo} to "
+                          f"{hi - 1}", range(lo, hi), range(m), side, side,
+                          partial(_locate, op, p, True))
+        for i in range(lo, hi):
+            yield partial(_compress_dense, [(i, j) for j in range(m)],
+                          blocks[i - lo], r, seed)
 
 
 def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
@@ -274,7 +279,8 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
     giving block rows of K.  Wider ones take one structured probe per side:
     the column probe shares its diagonal block across all block rows, so an
     application to a slice of it covers the level, and each block row is
-    finished from the stored products alone, in one stacked pass.
+    finished from the stored products alone, in one stacked pass.  K* R is
+    checked transposed, as blocks of K, like K C.
     """
     check_seed(seed)
     m, side = check_rank(p, r)
@@ -285,15 +291,14 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
         np.stack([complex_normal(block_rng(seed, domain, j), (side, width))
                   for j in range(m)])
         for domain in (_COL_PROBE_DOMAIN, _ROW_PROBE_DOMAIN))
-    try:
-        k_cols = _probe_products(op.apply, col_probe)
-        k_rows = _probe_products(op.apply_adjoint, row_probe)
-    except Exception as exc:
-        raise OracleError("operator oracle failed on the probe block") from exc
-    _check_probe_products(k_cols, k_rows)
-
-    lines = (partial(svd_from_probes, k_cols[i].swapaxes(0, 1),
-                     k_rows[:, :, i], row_probe[i], r) for i in range(m))
+    k_cols = _checked(lambda: _probe_products(op.apply, col_probe),
+                      "operator oracle", "the probe block", range(m),
+                      range(m), side, width, partial(_locate, op, p, False))
+    k_rows = _checked(lambda: _probe_products(op.apply_adjoint, row_probe).T,
+                      "operator oracle", "the probe block", range(m),
+                      range(m), width, side, partial(_locate, op, p, True))
+    lines = (partial(svd_from_probes, k_cols[i], k_rows[i].swapaxes(1, 2),
+                     row_probe[i], r) for i in range(m))
     return _middle_level(p, r, lines)
 
 

@@ -3,11 +3,12 @@
 Two contracts, mirroring how the construction algorithms touch the matrix:
 
 * entry oracle -- ``shape`` plus ``block(rows, cols)`` returning the dense
-  submatrix on integer index arrays;
-* operator oracle -- ``shape`` plus ``apply(x)`` / ``apply_adjoint(x)`` on
-  (n, k) blocks of vectors.
+  (len(rows), len(cols)) submatrix on integer index arrays;
+* operator oracle -- ``shape`` plus ``apply(x)`` / ``apply_adjoint(x)``
+  returning (n, k) for (n, k) blocks of vectors.
 
-Both must be pure.  The construction calls them only from the thread that
+Both must be pure.  A call that raises, or returns another shape or
+non-finite values, fails the construction as :class:`OracleError`.  The construction calls them only from the thread that
 called it, in a fixed order, whatever the number of CPUs.
 
 An entry oracle may set ``whole_rows = True`` when a block costs as much as

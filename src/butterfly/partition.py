@@ -3,11 +3,11 @@
 A partition fixes an even tree depth ``levels`` shared by the row tree and
 the column tree.  Level ``lvl`` of the row tree has ``2**lvl`` nodes; node
 ``i`` covers the index range ``[i*n/2**lvl, (i+1)*n/2**lvl)``.  The depth may
-exceed ``log2(n)``: nodes below the single-index level are empty or hold one
-index (range boundaries are rounded up), which is what lets the middle level
-sit deeper than ``sqrt(n)`` blocks and is how the reference accuracies are
-reached.  Block ``(lvl, i, j)`` pairs row node ``i`` at level ``lvl`` with
-column node ``j`` at level ``levels - lvl``.
+exceed ``log2(n)``: below the single-index level rows split no further and a
+level only merges column groups (:func:`butterfly.factors.chain_geometry`),
+which is what lets the middle level sit deeper than ``sqrt(n)`` blocks and is
+how the reference accuracies are reached.  Block ``(lvl, i, j)`` pairs row
+node ``i`` at level ``lvl`` with column node ``j`` at level ``levels - lvl``.
 """
 
 from __future__ import annotations
@@ -48,16 +48,6 @@ class DyadicPartition:
     def mid_side(self) -> int:
         """Row/column count of one middle-level block."""
         return self.n // self.mid_nodes
-
-    def node_range(self, lvl: int, i: int) -> range:
-        if not 0 <= lvl <= self.levels:
-            raise ValueError(f"level {lvl} outside [0, {self.levels}]")
-        if not 0 <= i < 2 ** lvl:
-            raise ValueError(f"node {i} outside level {lvl}")
-        scale = 2 ** lvl
-        start = -((-i * self.n) // scale)
-        stop = -((-(i + 1) * self.n) // scale)
-        return range(start, stop)
 
 
 def make_partition(n, target_leaf) -> DyadicPartition:

@@ -116,6 +116,7 @@ def test_probe_products_match_the_dense_block_diagonal_probe(rng):
         dense[j * side:(j + 1) * side, j * width:(j + 1) * width] = probe[j]
     oracle = LoggingOperatorOracle(DenseOracle(k))
     got = construct._probe_products(oracle.apply, probe)
+    got = got.reshape(m, side, m, width)
     want = (k @ dense).reshape(m, side, m, width)
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -333,8 +334,8 @@ def test_batched_dense_middle_matches_per_block_reference(kernel, n, r):
     w = np.zeros((m, m, r))
     for i in range(m):
         for j in range(m):
-            apx = truncated_svd(ker.block(p.node_range(p.half, i),
-                                          p.node_range(p.half, j)), r)
+            rows, cols = (np.arange(x * side, (x + 1) * side) for x in (i, j))
+            apx = truncated_svd(ker.block(rows, cols), r)
             u[i, :, j, :] = apx.u0 * apx.sigma0
             v[j, :, i, :] = apx.v0 * apx.sigma0
             w[i, j] = floored_inverse(apx.sigma0)
@@ -381,6 +382,44 @@ def test_matvec_reads_narrow_blocks_whole_and_probes_wider_ones(n, leaf, r,
     oracle = CountingOracle(op)
     factorize(oracle, p, r, seed=0, mode=mode)
     assert oracle.applied == applied and oracle.calls == len(applied)
+
+
+@pytest.mark.parametrize("kernel, n, leaf, r, mode", [
+    ("fio", 512, 1, 6, "sampling"),  # dense lines
+    ("fio", 1024, 4, 1, "sampling"),  # the sampling engine
+    ("fio", 512, 1, 6, "streaming"),  # runs of blocks
+    ("composition", 512, 0.5, 8, "matvec"),  # identity slices
+    ("composition", 1024, 4, 4, "matvec")])  # probes
+def test_every_oracle_call_runs_inside_the_checked_call(monkeypatch, kernel,
+                                                        n, leaf, r, mode):
+    inside, seen = [], []
+    checked = construct._checked
+
+    def flagged(*args, **kwargs):
+        inside.append(True)
+        try:
+            return checked(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    class Watched(CountingOracle):
+        def block(self, rows, cols):
+            seen.append(bool(inside))
+            return super().block(rows, cols)
+
+        def apply(self, x):
+            seen.append(bool(inside))
+            return super().apply(x)
+
+        def apply_adjoint(self, x):
+            seen.append(bool(inside))
+            return super().apply_adjoint(x)
+
+    monkeypatch.setattr(construct, "_checked", flagged)
+    p, oracle, _, mode = build_operator(kernel, n, r, leaf, mode, 0)
+    oracle = Watched(oracle)
+    factorize(oracle, p, r, seed=0, mode=mode)
+    assert all(seen) and len(seen) == oracle.calls > 0
 
 
 @pytest.mark.parametrize("kernel, n, leaf, mode, calls", [
@@ -487,11 +526,11 @@ def test_sketched_factors_identical_across_blas_threads(tmp_path):
 def _matrix_with_nan_block(n, leaf, i, j, whole):
     p = make_partition(n, leaf)
     k = dense_matrix(FioKernel(n), n)
-    rows, cols = p.node_range(p.half, i), p.node_range(p.half, j)
+    side = p.mid_side
     if whole:
-        k[rows.start:rows.stop, cols.start:cols.stop] = np.nan
+        k[i * side:(i + 1) * side, j * side:(j + 1) * side] = np.nan
     else:
-        k[rows.start + 1, cols.start + 3] = np.nan
+        k[i * side + 1, j * side + 3] = np.nan
     return p, DenseOracle(k)
 
 
@@ -551,6 +590,35 @@ def test_failing_operator_oracle_names_what_it_was_applying(n, leaf, r,
                        match=rf"operator oracle failed on {named}$"):
         factorize(Failing(), make_partition(n, leaf), r, seed=0,
                   mode="matvec")
+
+
+class Misshapen(CountingOracle):
+    """Entry lines come back transposed, operator products as one column."""
+
+    def block(self, rows, cols):
+        return super().block(rows, cols).T
+
+    def apply(self, x):
+        return super().apply(x)[:, :1]
+
+    def apply_adjoint(self, x):
+        return super().apply_adjoint(x)[:, :1]
+
+
+@pytest.mark.parametrize("kernel, n, leaf, r, mode, named", [
+    ("fio", 512, 1, 6, "sampling", r"middle blocks \(0, 0\) to \(0, 15\)"),
+    ("fio", 512, 1, 6, "streaming", r"middle blocks \(0, 0\) to \(0, 3\)"),
+    # identity slices (side 8, 16 block rows a call) and probes (side 64)
+    ("composition", 256, 0.25, 4, "matvec", r"middle block rows 0 to 15"),
+    ("composition", 1024, 4, 4, "matvec", r"the probe block")])
+def test_oracle_output_of_another_shape_names_what_was_read(kernel, n, leaf,
+                                                            r, mode, named):
+    # a transposed line would fill the blocks with the wrong entries, and a
+    # single product column would broadcast over the probe slice
+    p, oracle, _, mode = build_operator(kernel, n, r, leaf, mode, 0)
+    with pytest.raises(OracleError, match=rf"failed on {named}$") as err:
+        factorize(Misshapen(oracle), p, r, seed=0, mode=mode)
+    assert "oracle output is" in str(err.value.__cause__)
 
 
 @pytest.mark.parametrize("mode", ["sampling", "streaming"])

@@ -108,10 +108,9 @@ def test_at_dense_limit_threshold():
 def _fio_middle_block(n, leaf, i, j):
     p = make_partition(n, leaf)
     ker = FioKernel(n)
-    rows = p.node_range(p.half, i)
-    cols = p.node_range(p.half, j)
-    return ker.block(np.arange(rows.start, rows.stop),
-                     np.arange(cols.start, cols.stop))
+    side = p.mid_side
+    return ker.block(np.arange(i * side, (i + 1) * side),
+                     np.arange(j * side, (j + 1) * side))
 
 
 def test_randomized_svd_fio_block_close_to_optimal():

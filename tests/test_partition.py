@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from butterfly import DyadicPartition, make_partition
+from butterfly import make_partition
 
 
 def test_make_partition_picks_deepest_even_depth():
@@ -62,44 +62,9 @@ def test_make_partition_rejects_non_integers(bad):
         make_partition(bad, 0.25)
 
 
-def test_block_ranges_formula():
-    p = DyadicPartition(64, 4)
-    # block (lvl, i, j) pairs row node i at lvl with column node j at
-    # levels - lvl
-    assert p.node_range(2, 1) == range(16, 32)
-    assert p.node_range(p.levels - 2, 0) == range(0, 16)
-    assert p.node_range(4, 15) == range(60, 64)
-    assert p.node_range(p.levels - 4, 0) == range(0, 64)
-
-
-def test_block_rows_tile_each_level():
-    p = DyadicPartition(64, 4)
-    for lvl in range(p.levels + 1):
-        covered = []
-        for i in range(2 ** lvl):
-            covered.extend(p.node_range(lvl, i))
-        assert covered == list(range(64))
-
-
-def test_deep_levels_tile_with_empty_nodes():
-    p = DyadicPartition(16, 8)
-    for lvl in range(p.levels + 1):
-        covered = []
-        for i in range(2 ** lvl):
-            covered.extend(p.node_range(lvl, i))
-        assert covered == list(range(16))
-
-
 def test_midlevel_identities():
     for n, leaf in [(64, 1), (256, 16), (1024, 0.25)]:
         p = make_partition(n, leaf)
         assert p.half * 2 == p.levels
         assert p.mid_nodes ** 2 == 2 ** p.levels
 
-
-def test_invalid_block_id_raises():
-    p = DyadicPartition(64, 4)
-    with pytest.raises(ValueError):
-        p.node_range(2, 4)
-    with pytest.raises(ValueError):
-        p.node_range(p.levels - 5, 0)
