@@ -105,26 +105,25 @@ if hasattr(os, "register_at_fork"):  # POSIX: only a fork copies the pool
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def in_pool(*rounds) -> None:
+def in_pool(*rounds, window=1) -> None:
     """Run ``task(*item)`` for every item of every ``(task, items)`` round
     on the kept thread pool, a round's tasks all done before the next
     round's first task starts.
 
     Items are drawn on the calling thread, in order.  Before an item is
-    submitted, the oldest task of this call is waited for if one task per
-    worker is already queued or running, so the call never holds more
-    items in the pool than it has workers.  Every result is read in order:
-    the first failure is raised once this call's tasks in flight have
-    finished, and no later item is drawn.  Calls from several threads
-    share the pool, each with its own window.
+    submitted, the oldest task of this call is waited for if ``window``
+    tasks, or one per worker if that is more, are already queued or
+    running, so the call never holds more items in the pool than that.
+    Every result is read in order: the first failure is raised once this
+    call's tasks in flight have finished, and no later item is drawn.
+    Calls from several threads share the pool, each with its own window.
     """
     workers = worker_count()
-    pool = _executor(workers)
-    pending = deque()
+    pool, pending, window = _executor(workers), deque(), max(window, workers)
     try:
         for task, items in rounds:
             for item in items:
-                if len(pending) == workers:
+                if len(pending) == window:
                     pending.popleft().result()
                 pending.append(pool.submit(task, *item))
             while pending:

@@ -10,17 +10,16 @@ product of K or K*) is one :func:`_checked` call: it names what it read if
 the call fails or returns another shape, and the first non-finite block of
 K otherwise (found by :func:`_locate` where a product spreads it).
 
-* entry oracle, blocks at the dense limit or marked ``whole_rows`` -- one
-  ``block`` call per line and one stacked sketched (for narrow blocks,
-  :func:`_narrow`, truncated) SVD; streaming, unless the oracle is
-  ``whole_rows``, does the same per run of blocks (:data:`STREAM_RUN_SHARE`);
+* dense lines (entry oracle at the dense limit or ``whole_rows``, operator
+  oracle on narrow blocks, :func:`_narrow`) -- :func:`_dense_lines` reads
+  :data:`CALL_WIDTH` rows of K a call (whole block rows, or K* of their
+  identity columns), one stacked sketched (narrow: truncated) SVD a block
+  row; streaming reads runs of blocks instead (:data:`STREAM_RUN_SHARE`);
 * entry oracle above the dense limit -- the randomized sampling engine
   block by block, four reads a block, its results stacked;
-* operator oracle, narrow blocks -- K* applied to 128 // side block rows of
-  identity columns a call gives block rows of K, finished as dense lines;
 * operator oracle, wider blocks -- K and K* applied to block-diagonal
-  Gaussian probes, 128 probe columns a call, built slice by slice from the
-  m diagonal blocks; then one stacked probe finish per block row.
+  Gaussian probes, :data:`CALL_WIDTH` probe columns a call, built slice by
+  slice from the m diagonal blocks; then one stacked probe finish per row.
 
 Stage two recursively refactors the left and right factors level by level,
 splitting rows and merging sibling column groups, until the leaf level.  A
@@ -31,11 +30,12 @@ row only needs an orthonormal row basis and takes one batched QR instead.
 Each public stage function runs its pure linear algebra on the thread
 pool that the process keeps (:mod:`butterfly._pool` sizes it).  Oracles
 are called only from the calling thread, in a fixed order: the caller reads
-and checks each block line while at most one line per worker is compressed
-and placed in the pool, and the refactoring, which reads no oracle, runs
+and checks block lines (dense ones :data:`CALL_WIDTH` rows a call) while the
+pool compresses and places them, holding a call's block rows or one line a
+worker, whichever is more, and the refactoring, which reads no oracle, runs
 the groups of middle nodes that :func:`butterfly._pool.spans` cuts side by
-side.  Every unit of work is computed as it would be alone, and a slice
-of a stacked LAPACK call equals the call on that slice, so the factors are
+side.  Every unit of work is computed as it would be alone, and a slice of
+a stacked LAPACK call equals the call on that slice, so the factors are
 bit-identical for any CPU count.
 
 Randomness is derived per block from the master seed (spawn keys carry the
@@ -71,6 +71,12 @@ _SKETCH_DOMAIN = 3
 #: 1.970 / 1.986 / 2.053 / 2.301 / 2.798 MB (factors 1.749 MB).  Runs of 4
 #: compressed on the pool while the next was read: 0.190 s and 2.367 MB.
 STREAM_RUN_SHARE = 24
+
+#: Rows of K a dense-line call reads, and probe columns a probe call applies.
+#: Hankel n=512, leaf 0.25, r=6, 2 cores, 16 / 128 / 256 / 512 rows a call:
+#: middle level 71 / 27 / 29 / 26 ms, peak 6.80 / 6.80 / 8.12 / 8.15 MB.
+CALL_WIDTH = 128
+
 
 def check_seed(seed):
     """``seed`` if it is a non-negative integer; ``None`` is rejected too."""
@@ -138,9 +144,8 @@ def _locate(op, p, adjoint, i, j):
 
 
 def _read(entry, p, row_nodes, col_nodes, rows=None, cols=None):
-    """Middle blocks ``row_nodes`` x ``col_nodes`` (one block or a run of a
-    block line) on local ``rows`` and ``cols``, all by default, read in one
-    checked call and stacked in line order."""
+    """Middle blocks ``row_nodes`` x ``col_nodes`` on local ``rows`` and
+    ``cols`` (all by default), read in one checked call as its view."""
     side = p.mid_side
     rows, cols = (np.arange(side) if x is None else x for x in (rows, cols))
     first, last = (row_nodes[0], col_nodes[0]), (row_nodes[-1], col_nodes[-1])
@@ -149,8 +154,7 @@ def _read(entry, p, row_nodes, col_nodes, rows=None, cols=None):
     return _checked(lambda: entry.block(
         np.add.outer(np.multiply(row_nodes, side), rows).ravel(),
         np.add.outer(np.multiply(col_nodes, side), cols).ravel()),
-        "entry oracle", where, row_nodes, col_nodes, rows.size,
-        cols.size).reshape(-1, rows.size, cols.size)
+        "entry oracle", where, row_nodes, col_nodes, rows.size, cols.size)
 
 
 def _narrow(side, r) -> bool:
@@ -170,32 +174,39 @@ def _compress_dense(ids, blocks, r, seed) -> LowRankApprox:
     return sketched_svd(blocks, r, np.stack(omega))
 
 
-def _as_row(apx: LowRankApprox, column: bool) -> LowRankApprox:
-    """A block column's triples as block row triples of the adjoint."""
-    return LowRankApprox(apx.v0, apx.sigma0, apx.u0) if column else apx
+def _whole_lines(entry, side, r) -> bool:
+    """Whether the entry oracle's block lines are read whole."""
+    return getattr(entry, "whole_rows", False) or at_dense_limit(side, side, r)
+
+
+def _dense_lines(read, p, r, seed):
+    """Callables finishing the block rows of K, read max(1, CALL_WIDTH //
+    side) at a time: ``read(row_nodes)`` is one :func:`_checked` view."""
+    m, step = p.mid_nodes, max(1, CALL_WIDTH // p.mid_side)
+    for lo in range(0, m, step):
+        for i, blocks in enumerate(read(range(lo, min(lo + step, m))), lo):
+            yield partial(_compress_dense, [(i, j) for j in range(m)],
+                          blocks, r, seed)
 
 
 def _entry_line(entry, p, r, seed, k, run, column=False):
-    """Read the blocks ``run`` (a range: the whole line when sampling) of
-    block row k, or with ``column`` of block column k, on the calling thread.
-
-    Returns a callable that finishes their stacked rank-r triples, a column's
-    as block row k of the adjoint (u0 and v0 swapped), without calling the
-    oracle: the sampling engine, which reads between its steps, is run here.
-    """
+    """Stacked rank-r triples of the blocks ``run`` (a range) of block row
+    k, or with ``column`` of block column k as block row k of the adjoint
+    (u0 and v0 swapped), read and compressed on the calling thread."""
     side = p.mid_side
     line = (run, [k]) if column else ([k], run)
     ids = [(i, j) for i in line[0] for j in line[1]]
-    if getattr(entry, "whole_rows", False) or at_dense_limit(side, side, r):
-        blocks = _read(entry, p, *line)
-        return lambda: _as_row(_compress_dense(ids, blocks, r, seed), column)
-    parts = [randomized_sampling_svd(
-        lambda rows, cols: _read(entry, p, [i], [j], rows, cols)[0],
-        side, side, r, block_rng(seed, _SAMPLING_DOMAIN, i, j))
-        for i, j in ids]
-    done = _as_row(LowRankApprox(*map(np.stack, zip(
-        *((a.u0, a.sigma0, a.v0) for a in parts)))), column)
-    return lambda: done
+    if _whole_lines(entry, side, r):
+        blocks = _read(entry, p, *line).reshape(-1, side, side)
+        apx = _compress_dense(ids, blocks, r, seed)
+    else:
+        parts = [randomized_sampling_svd(
+            lambda rows, cols: _read(entry, p, [i], [j], rows, cols)[0, 0],
+            side, side, r, block_rng(seed, _SAMPLING_DOMAIN, i, j))
+            for i, j in ids]
+        apx = LowRankApprox(*map(np.stack, zip(
+            *((a.u0, a.sigma0, a.v0) for a in parts))))
+    return LowRankApprox(apx.v0, apx.sigma0, apx.u0) if column else apx
 
 
 def _place_line(apx: LowRankApprox, u_row, v_col=None, w_row=None):
@@ -215,7 +226,8 @@ def _middle_level(p: DyadicPartition, r: int, lines):
     """U, M and V of the middle level from its m block rows in order.
 
     ``lines`` yields, on the calling thread, one callable per block row
-    that finishes its stacked triples; they and the placing run in a pool.
+    that finishes its stacked triples; they and the placing run in a pool,
+    which queues as many as a dense-line call reads, so the caller reads on.
     """
     m, side = p.mid_nodes, p.mid_side
     u = np.empty((m, side, m, r), dtype=np.complex128)
@@ -225,7 +237,7 @@ def _middle_level(p: DyadicPartition, r: int, lines):
     def place(i, finish):
         _place_line(finish(), u[i], v[:, :, i], w[i])
 
-    _pool.in_pool((place, enumerate(lines)))
+    _pool.in_pool((place, enumerate(lines)), window=CALL_WIDTH // side)
     return (TransferFactor(p.half, u.reshape(m, 1, 1, side, m * r)),
             MiddleFactor(w),
             TransferFactor(p.half, v.reshape(m, 1, 1, side, m * r)))
@@ -234,19 +246,23 @@ def _middle_level(p: DyadicPartition, r: int, lines):
 def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization through an entry oracle, by block row."""
     check_seed(seed)
-    m, _ = check_rank(p, r)
-    return _middle_level(p, r, (_entry_line(entry, p, r, seed, i, range(m))
-                                for i in range(m)))
+    m, side = check_rank(p, r)
+    if _whole_lines(entry, side, r):
+        return _middle_level(p, r, _dense_lines(
+            lambda nodes: _read(entry, p, nodes, range(m)), p, r, seed))
+    # the sampling engine reads between its steps, so it runs here
+    engine = (_entry_line(entry, p, r, seed, i, range(m)) for i in range(m))
+    return _middle_level(p, r, (lambda apx=apx: apx for apx in engine))
 
 
 def _probe_products(apply_fn, probe: np.ndarray) -> np.ndarray:
     """``apply_fn`` of the block-diagonal probe whose diagonal blocks are
-    ``probe`` (m, side, width), a slice of 128 columns built per call, as
-    (m side, m width)."""
+    ``probe`` (m, side, width), a slice of :data:`CALL_WIDTH` columns built
+    per call, as (m side, m width)."""
     m, side, width = probe.shape
     out = np.empty((m * side, m * width), dtype=np.complex128)
-    for lo in range(0, m * width, 128):  # probe columns per application
-        cols = np.arange(lo, min(lo + 128, m * width))
+    for lo in range(0, m * width, CALL_WIDTH):
+        cols = np.arange(lo, min(lo + CALL_WIDTH, m * width))
         piece = np.zeros((m, side, cols.size), dtype=np.complex128)
         nodes = cols // width
         piece[nodes, :, cols - lo] = probe[nodes, :, cols % width]
@@ -255,27 +271,10 @@ def _probe_products(apply_fn, probe: np.ndarray) -> np.ndarray:
     return out
 
 
-def _identity_lines(op, p, r, seed):
-    """Callables finishing the block rows of K, read 128 // side at a time
-    (a probe slice's width) as K* applied to identity columns."""
-    m, side = p.mid_nodes, p.mid_side
-    step = max(1, 128 // side)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        eye = np.eye(p.n, (hi - lo) * side, -lo * side, complex)
-        blocks = _checked(lambda: np.conj(op.apply_adjoint(eye)).T,
-                          "operator oracle", f"middle block rows {lo} to "
-                          f"{hi - 1}", range(lo, hi), range(m), side, side,
-                          partial(_locate, op, p, True))
-        for i in range(lo, hi):
-            yield partial(_compress_dense, [(i, j) for j in range(m)],
-                          blocks[i - lo], r, seed)
-
-
 def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization from black-box applications of K and K*.
 
-    Narrow blocks (:func:`_narrow`) are read whole, K* of identity columns
+    Narrow blocks (:func:`_narrow`) are dense lines, K* of identity columns
     giving block rows of K.  Wider ones take one structured probe per side:
     the column probe shares its diagonal block across all block rows, so an
     application to a slice of it covers the level, and each block row is
@@ -285,7 +284,13 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
     check_seed(seed)
     m, side = check_rank(p, r)
     if _narrow(side, r):
-        return _middle_level(p, r, _identity_lines(op, p, r, seed))
+        def rows_of_k(nodes):
+            eye = np.eye(p.n, len(nodes) * side, -nodes[0] * side, complex)
+            return _checked(lambda: np.conj(op.apply_adjoint(eye)).T,
+                            "operator oracle", f"middle block rows {nodes[0]} "
+                            f"to {nodes[-1]}", nodes, range(m), side, side,
+                            partial(_locate, op, p, True))
+        return _middle_level(p, r, _dense_lines(rows_of_k, p, r, seed))
     width = r + PROBE_OVERSAMPLING
     col_probe, row_probe = (
         np.stack([complex_normal(block_rng(seed, domain, j), (side, width))
@@ -346,12 +351,6 @@ def _refactor(cur: np.ndarray, levels, first: int) -> None:
     leaf[lo:lo + nb] = cur.reshape(nb, 1, 1, rows, k)
 
 
-def _level_arrays(p: DyadicPartition, r: int):
-    """One uninitialised array per level of a side, as chain_geometry says."""
-    return [np.empty(shape, dtype=np.complex128)
-            for _, shape in chain_geometry(p, r)]
-
-
 def _side(p: DyadicPartition, r: int, levels):
     """(leaf factor, transfer chain) of one side from its level arrays."""
     *chain, leaf = (TransferFactor(lvl, blocks) for (lvl, _), blocks
@@ -363,7 +362,7 @@ def recursive_factor_u(u_h: TransferFactor, p: DyadicPartition, r: int):
     """Expand the middle left factor into its leaf factor and transfer chain."""
     m, side = p.mid_nodes, p.mid_side
     cur = u_h.blocks.reshape(m, side, m, r)
-    levels = _level_arrays(p, r)
+    levels = [np.empty(s, np.complex128) for _, s in chain_geometry(p, r)]
     _pool.in_pool((_refactor, ((cur[lo:hi], levels, lo)
                                for lo, hi in _pool.spans(m))))
     return _side(p, r, levels)
@@ -416,14 +415,14 @@ def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
     weights = np.empty((m, m, r))
     sides = []
     for column in (False, True):
-        levels = _level_arrays(p, r)
+        levels = [np.empty(s, np.complex128) for _, s in chain_geometry(p, r)]
         for k in range(m):
             # the u side takes block row k, the v side block column k
             slab = np.empty((1, side, m, r), dtype=np.complex128)
             for lo in range(0, m, step):  # a run of blocks a call
                 run = slice(lo, lo + step)
-                line = _entry_line(entry, p, r, seed, k, range(m)[run], column)
-                _place_line(line(), slab[0][:, run],
+                _place_line(_entry_line(entry, p, r, seed, k, range(m)[run],
+                                        column), slab[0][:, run],
                             w_row=None if column else weights[k][run])
             _refactor(slab, levels, k)
         sides.append(_side(p, r, levels))

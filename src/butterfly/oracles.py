@@ -12,8 +12,10 @@ non-finite values, fails the construction as :class:`OracleError`.  The construc
 called it, in a fixed order, whatever the number of CPUs.
 
 An entry oracle may set ``whole_rows = True`` when a block costs as much as
-its rows up to its largest column: middle block lines are then read whole
-in every mode and at any rank.  Wrappers must forward it (perfbench's
+its rows up to its largest column.  Sampling reads lines at the dense limit
+whole either way, 128 rows a call; the flag matters above that limit, where
+lines are then read whole too, and in streaming, which then reads whole
+lines instead of runs of blocks.  Wrappers must forward it (perfbench's
 ``EntryProbe`` does not; harmless for its Hankel workload, sampling mode).
 """
 

@@ -73,6 +73,19 @@ def test_hankel_block_is_finite_and_repeatable():
     assert np.array_equal(block, again)
 
 
+@pytest.mark.parametrize("kernel", [FioKernel, HankelKernel])
+def test_a_block_of_128_rows_equals_its_16_row_slices_bitwise(kernel):
+    # dense lines read 128 rows of K a call, and the factors stay those of
+    # one block row a call only if every row comes out as it would alone
+    n = 512
+    ker, rows, cols = kernel(n), np.arange(128, 256), np.arange(n)
+    whole = ker.block(rows, cols)
+    assert whole.shape == (128, n)
+    for lo in range(0, 128, 16):
+        part = ker.block(rows[lo:lo + 16], cols)
+        assert whole[lo:lo + 16].tobytes() == part.tobytes()
+
+
 def test_hankel_factorize_leaves_the_oracle_unchanged():
     # the oracle is pure: a factorization must not leave state behind
     n = 128

@@ -149,3 +149,26 @@ def test_a_failing_round_leaves_no_task_running_or_queued(monkeypatch):
     assert started == {0, 1, 2} and finished == {0, 2}
     time.sleep(0.2)
     assert started == {0, 1, 2} and finished == {0, 2} and not later
+
+
+def test_a_window_queues_more_items_than_workers(monkeypatch):
+    # one worker and a window of 3: while task 0 is held, the caller draws
+    # items 1 to 3 and submits 1 and 2 before it waits (a window of one
+    # worker would wait on task 0 after drawing item 1, and task 0 would
+    # time out)
+    use_workers(monkeypatch, 1)
+    release, drawn = threading.Event(), []
+
+    def items():
+        for i in range(5):
+            drawn.append(i)
+            if i == 3:
+                release.set()
+            yield (i,)
+
+    def task(i):
+        if i == 0:
+            assert release.wait(timeout=10)
+
+    _pool.in_pool((task, items()), window=3)
+    assert drawn == list(range(5))
