@@ -2,21 +2,22 @@
 
 Stage one compresses every middle-level block to rank r, from sampled
 entries or from applications of the operator, into block-diagonal left and
-right factors and a weighted permutation.  It works by block line: the m
-blocks of a block row (or, for the streaming right side, a block column)
-come out as stacks of rank-r triples, which one assembler places.  Every
+right factors and a weighted permutation.  It works by block line: one
+reader, :func:`_dense_lines`, turns the blocks of a block row, or of a run
+of one (of a block column, for the streaming right side), into stacks of
+rank-r triples, and one placer, :func:`_place_line`, writes them.  Every
 oracle application (a line, a run of one, a block, an engine sample or a
 product of K or K*) is one :func:`_checked` call: it names what it read if
 the call fails or returns another shape, and the first non-finite block of
 K otherwise (found by :func:`_locate` where a product spreads it).
 
 * dense lines (entry oracle at the dense limit or ``whole_rows``, operator
-  oracle on narrow blocks, :func:`_narrow`) -- :func:`_dense_lines` reads
-  :data:`CALL_WIDTH` rows of K a call (whole block rows, or K* of their
-  identity columns), one stacked sketched (narrow: truncated) SVD a block
-  row; streaming reads runs of blocks instead (:data:`STREAM_RUN_SHARE`);
+  oracle on narrow blocks, :func:`_narrow`) -- :data:`CALL_WIDTH` rows of
+  K a call (whole block rows, or K* of their identity columns), or in
+  streaming a run of a block row or column (:data:`STREAM_RUN_SHARE`),
+  one stacked sketched (narrow: truncated) SVD a line or run;
 * entry oracle above the dense limit -- the randomized sampling engine
-  block by block, four reads a block, its results stacked;
+  block by block, four reads a block, a line's or a run's results stacked;
 * operator oracle, wider blocks -- K and K* applied to block-diagonal
   Gaussian probes, :data:`CALL_WIDTH` probe columns a call, built slice by
   slice from the m diagonal blocks; then one stacked probe finish per row.
@@ -47,6 +48,7 @@ bit-identical factors, serially (see :data:`STREAM_RUN_SHARE`).
 from __future__ import annotations
 
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -174,70 +176,68 @@ def _compress_dense(ids, blocks, r, seed) -> LowRankApprox:
     return sketched_svd(blocks, r, np.stack(omega))
 
 
-def _whole_lines(entry, side, r) -> bool:
-    """Whether the entry oracle's block lines are read whole."""
-    return getattr(entry, "whole_rows", False) or at_dense_limit(side, side, r)
+def _sampled(read, ids, side, r, seed):
+    """A finish for blocks ``ids``: the sampling engine's triples, stacked."""
+    parts = [randomized_sampling_svd(
+        lambda rows, cols: read([i], [j], rows, cols)[0, 0],
+        side, side, r, block_rng(seed, _SAMPLING_DOMAIN, i, j))
+        for i, j in ids]
+    return partial(LowRankApprox, *map(np.stack, zip(
+        *((a.u0, a.sigma0, a.v0) for a in parts))))
 
 
-def _dense_lines(read, p, r, seed):
-    """Callables finishing the block rows of K, read max(1, CALL_WIDTH //
-    side) at a time: ``read(row_nodes)`` is one :func:`_checked` view."""
-    m, step = p.mid_nodes, max(1, CALL_WIDTH // p.mid_side)
-    for lo in range(0, m, step):
-        for i, blocks in enumerate(read(range(lo, min(lo + step, m))), lo):
-            yield partial(_compress_dense, [(i, j) for j in range(m)],
-                          blocks, r, seed)
+def _dense_lines(read, p, r, seed, step=0, column=False, whole_rows=True):
+    """``(k, run, finish)`` for the blocks ``run`` (a slice) of each block
+    row k of K in order, or with ``column`` of each block column, where
+    ``finish()`` gives their stacked rank-r triples.  A call reads ``step``
+    blocks of one line, or by default max(1, CALL_WIDTH // side) block rows,
+    as one :func:`_checked` view ``read(row_nodes, col_nodes)`` that only
+    its finishes hold.  Without ``whole_rows``, lines above the dense limit
+    go to :func:`_sampled`, call by call on the calling thread."""
+    m, side = p.mid_nodes, p.mid_side
+    lines, step = (1, step) if step else (max(1, CALL_WIDTH // side), m)
+    engine = not (whole_rows or at_dense_limit(side, side, r))
+    for lo, first in product(range(0, m, lines), range(0, m, step)):
+        ks, run = range(lo, min(lo + lines, m)), slice(first, first + step)
+        js = range(m)[run]
+        ids = [[(j, k) if column else (k, j) for j in js] for k in ks]
+        if engine:
+            finishes = [_sampled(read, line, side, r, seed) for line in ids]
+        else:
+            finishes = [partial(_compress_dense, line, blocks, r, seed)
+                        for line, blocks in zip(ids, read(js, ks).swapaxes(
+                            0, 1) if column else read(ks, js))]
+        for k in ks:  # popped: a finish is held by its consumer alone
+            yield k, run, finishes.pop(0)
 
 
-def _entry_line(entry, p, r, seed, k, run, column=False):
-    """Stacked rank-r triples of the blocks ``run`` (a range) of block row
-    k, or with ``column`` of block column k as block row k of the adjoint
-    (u0 and v0 swapped), read and compressed on the calling thread."""
-    side = p.mid_side
-    line = (run, [k]) if column else ([k], run)
-    ids = [(i, j) for i in line[0] for j in line[1]]
-    if _whole_lines(entry, side, r):
-        blocks = _read(entry, p, *line).reshape(-1, side, side)
-        apx = _compress_dense(ids, blocks, r, seed)
-    else:
-        parts = [randomized_sampling_svd(
-            lambda rows, cols: _read(entry, p, [i], [j], rows, cols)[0, 0],
-            side, side, r, block_rng(seed, _SAMPLING_DOMAIN, i, j))
-            for i, j in ids]
-        apx = LowRankApprox(*map(np.stack, zip(
-            *((a.u0, a.sigma0, a.v0) for a in parts))))
-    return LowRankApprox(apx.v0, apx.sigma0, apx.u0) if column else apx
-
-
-def _place_line(apx: LowRankApprox, u_row, v_col=None, w_row=None):
-    """Write the stacked triples of block row i, or of a run of it, block
-    (i, j) going to ``u[i, :, j, :]``, ``v[j, :, i, :]`` and ``w[i, j]``
-    through the views ``u[i]``, ``v[:, :, i]`` and ``w[i]`` (the last two
-    optional), or the run's parts of them."""
+def _place_line(apx: LowRankApprox, u=None, v=None, w=None):
+    """Write the stacked triples of the blocks (i, j), j in ``run``, into
+    whichever of the views ``u[i, :, run]``, ``v[run, :, i]`` and
+    ``w[i, run]`` is given (streaming's block columns go to ``v`` alone)."""
     scaled = apx.sigma0[:, None, :]
-    u_row[...] = (apx.u0 * scaled).swapaxes(0, 1)
-    if v_col is not None:
-        v_col[...] = apx.v0 * scaled
-    if w_row is not None:
-        w_row[...] = floored_inverse(apx.sigma0)
+    if u is not None:
+        u[...] = (apx.u0 * scaled).swapaxes(0, 1)
+    if v is not None:
+        v[...] = apx.v0 * scaled
+    if w is not None:
+        w[...] = floored_inverse(apx.sigma0)
 
 
 def _middle_level(p: DyadicPartition, r: int, lines):
-    """U, M and V of the middle level from its m block rows in order.
-
-    ``lines`` yields, on the calling thread, one callable per block row
-    that finishes its stacked triples; they and the placing run in a pool,
-    which queues as many as a dense-line call reads, so the caller reads on.
-    """
+    """U, M and V of the middle level from the ``(i, run, finish)`` lines of
+    its m block rows in order (:func:`_dense_lines`), drawn on the calling
+    thread.  Finishing and placing run in a pool, which queues as many as a
+    dense-line call reads, so the caller reads on."""
     m, side = p.mid_nodes, p.mid_side
     u = np.empty((m, side, m, r), dtype=np.complex128)
     v = np.empty((m, side, m, r), dtype=np.complex128)
     w = np.empty((m, m, r))
 
-    def place(i, finish):
-        _place_line(finish(), u[i], v[:, :, i], w[i])
+    def place(i, run, finish):
+        _place_line(finish(), u[i][:, run], v[run, :, i], w[i][run])
 
-    _pool.in_pool((place, enumerate(lines)), window=CALL_WIDTH // side)
+    _pool.in_pool((place, lines), window=CALL_WIDTH // side)
     return (TransferFactor(p.half, u.reshape(m, 1, 1, side, m * r)),
             MiddleFactor(w),
             TransferFactor(p.half, v.reshape(m, 1, 1, side, m * r)))
@@ -246,13 +246,10 @@ def _middle_level(p: DyadicPartition, r: int, lines):
 def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
     """Rank-r middle factorization through an entry oracle, by block row."""
     check_seed(seed)
-    m, side = check_rank(p, r)
-    if _whole_lines(entry, side, r):
-        return _middle_level(p, r, _dense_lines(
-            lambda nodes: _read(entry, p, nodes, range(m)), p, r, seed))
-    # the sampling engine reads between its steps, so it runs here
-    engine = (_entry_line(entry, p, r, seed, i, range(m)) for i in range(m))
-    return _middle_level(p, r, (lambda apx=apx: apx for apx in engine))
+    check_rank(p, r)
+    return _middle_level(p, r, _dense_lines(
+        partial(_read, entry, p), p, r, seed,
+        whole_rows=getattr(entry, "whole_rows", False)))
 
 
 def _probe_products(apply_fn, probe: np.ndarray) -> np.ndarray:
@@ -284,11 +281,11 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
     check_seed(seed)
     m, side = check_rank(p, r)
     if _narrow(side, r):
-        def rows_of_k(nodes):
+        def rows_of_k(nodes, col_nodes):
             eye = np.eye(p.n, len(nodes) * side, -nodes[0] * side, complex)
             return _checked(lambda: np.conj(op.apply_adjoint(eye)).T,
                             "operator oracle", f"middle block rows {nodes[0]} "
-                            f"to {nodes[-1]}", nodes, range(m), side, side,
+                            f"to {nodes[-1]}", nodes, col_nodes, side, side,
                             partial(_locate, op, p, True))
         return _middle_level(p, r, _dense_lines(rows_of_k, p, r, seed))
     width = r + PROBE_OVERSAMPLING
@@ -302,9 +299,9 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
     k_rows = _checked(lambda: _probe_products(op.apply_adjoint, row_probe).T,
                       "operator oracle", "the probe block", range(m),
                       range(m), width, side, partial(_locate, op, p, True))
-    lines = (partial(svd_from_probes, k_cols[i], k_rows[i].swapaxes(1, 2),
-                     row_probe[i], r) for i in range(m))
-    return _middle_level(p, r, lines)
+    return _middle_level(p, r, ((i, slice(None), partial(
+        svd_from_probes, k_cols[i], k_rows[i].swapaxes(1, 2), row_probe[i],
+        r)) for i in range(m)))
 
 
 def _refactor(cur: np.ndarray, levels, first: int) -> None:
@@ -410,21 +407,24 @@ def factorize(oracle, p: DyadicPartition, r: int, seed=0,
 def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
     m, side = check_rank(p, r)
     held = 2 * sum(int(np.prod(shape)) for _, shape in chain_geometry(p, r))
-    step = (m if getattr(entry, "whole_rows", False)
-            else max(1, held // (STREAM_RUN_SHARE * side * side)))
+    whole_rows = getattr(entry, "whole_rows", False)
+    step = m if whole_rows else max(1, held // (STREAM_RUN_SHARE * side**2))
     weights = np.empty((m, m, r))
+    slab = np.empty((1, side, m, r), dtype=np.complex128)
     sides = []
     for column in (False, True):
         levels = [np.empty(s, np.complex128) for _, s in chain_geometry(p, r)]
-        for k in range(m):
-            # the u side takes block row k, the v side block column k
-            slab = np.empty((1, side, m, r), dtype=np.complex128)
-            for lo in range(0, m, step):  # a run of blocks a call
-                run = slice(lo, lo + step)
-                _place_line(_entry_line(entry, p, r, seed, k, range(m)[run],
-                                        column), slab[0][:, run],
-                            w_row=None if column else weights[k][run])
-            _refactor(slab, levels, k)
+        # the u side takes block row k, the v side block column k, a run
+        # of blocks a call, each placed and dropped before the next is read
+        for k, run, finish in _dense_lines(partial(_read, entry, p), p, r,
+                                           seed, step, column, whole_rows):
+            if column:
+                _place_line(finish(), v=slab[0][:, run].swapaxes(0, 1))
+            else:
+                _place_line(finish(), u=slab[0][:, run], w=weights[k][run])
+            del finish
+            if run.stop >= m:
+                _refactor(slab, levels, k)
         sides.append(_side(p, r, levels))
     (u_outer, g_chain), (v_outer, h_chain) = sides
     return ButterflyFactors(p, r, u_outer, g_chain, MiddleFactor(weights),

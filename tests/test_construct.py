@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import re
 import subprocess
@@ -278,6 +279,9 @@ def test_factorize_dense_error_small_fio():
 # (kernel, n, target_leaf, r) above the dense crossover (side 64 > 32 r):
 # the randomized sampling engine builds these middle blocks
 ENGINE_CASES = [(FioKernel, 1024, 4, 1)]
+# ... and these, whose blocks cost whole rows (whole_rows), are read as whole
+# block rows and columns there instead
+WHOLE_LINE_CASES = [(HankelKernel, 1024, 4, 1)]
 # Middle sides 8, 4, 16 and 16 take dense lines compressed by a truncated
 # SVD (r + 5 above half the side) and FIO side 32 at r=4 the sketched SVD.
 # Streaming reads FIO's dense lines in runs of blocks sized from the factor
@@ -285,14 +289,18 @@ ENGINE_CASES = [(FioKernel, 1024, 4, 1)]
 # blocks cost whole rows, as whole block rows and columns.
 STREAMING_CASES = [(FioKernel, 128, 0.25, 4), (HankelKernel, 64, 0.25, 3),
                    (FioKernel, 256, 1, 4), (HankelKernel, 256, 1, 4),
-                   (FioKernel, 1024, 1, 4), *ENGINE_CASES]
+                   (FioKernel, 1024, 1, 4), *ENGINE_CASES, *WHOLE_LINE_CASES]
 
 
 @pytest.mark.parametrize("kernel, n, leaf, r", STREAMING_CASES)
 def test_streaming_matches_sampling_bitwise(kernel, n, leaf, r):
     p = make_partition(n, leaf)
-    engine = (kernel, n, leaf, r) in ENGINE_CASES
-    assert at_dense_limit(p.mid_side, p.mid_side, r) != engine
+    route = ("dense limit" if at_dense_limit(p.mid_side, p.mid_side, r)
+             else "whole lines" if getattr(kernel(n), "whole_rows", False)
+             else "engine")
+    case = (kernel, n, leaf, r)
+    assert route == ("engine" if case in ENGINE_CASES else "whole lines"
+                     if case in WHOLE_LINE_CASES else "dense limit")
     a = factorize(kernel(n), p, r, seed=9, mode="sampling")
     b = factorize(kernel(n), p, r, seed=9, mode="streaming")
     assert factors_equal(a, b)
@@ -384,6 +392,30 @@ def test_matvec_reads_narrow_blocks_whole_and_probes_wider_ones(n, leaf, r,
     assert oracle.applied == applied and oracle.calls == len(applied)
 
 
+@pytest.mark.parametrize("r", [4, 8])
+def test_probes_recover_an_exact_rank_operator(rng, r):
+    # side 64 keeps r + 5 at most half a side at r=4 and r=8, so the middle
+    # level comes from probes alone; blocks of exact rank r come back to
+    # rounding (relative Frobenius error 4.9e-15 and 7.1e-15)
+    n = 1024
+    p = make_partition(n, 4)
+    assert p.mid_side == 64 and not construct._narrow(64, r)
+    chain = random_exact_chain(p, r, rng)
+
+    class Operator:  # K through the chain, with no access to its entries
+        shape = (n, n)
+
+        def apply(self, x):
+            return chain.apply(x)
+
+        def apply_adjoint(self, x):
+            return chain.apply_adjoint(x)
+
+    f = factorize(Operator(), p, r, seed=0, mode="matvec")
+    k = chain.dense()
+    assert np.linalg.norm(f.dense() - k) <= 1e-10 * np.linalg.norm(k)
+
+
 @pytest.mark.parametrize("kernel, n, leaf, r, mode", [
     ("fio", 512, 1, 6, "sampling"),  # dense lines
     ("fio", 1024, 4, 1, "sampling"),  # the sampling engine
@@ -468,6 +500,76 @@ def test_dense_lines_evaluate_each_entry_once_per_line(mode, calls, reads):
     assert (oracle.calls, oracle.entries) == (calls, reads * n * n)
 
 
+class LoggingOracle(CountingOracle):
+    """Logs the rows and columns of every ``block`` call, in order."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.log = []
+
+    def block(self, rows, cols):
+        self.log.append(tuple(np.asarray(x, np.int64).tobytes()
+                              for x in (rows, cols)))
+        return super().block(rows, cols)
+
+
+def _traffic_digest(log):
+    h = hashlib.sha256()
+    for rows, cols in log:
+        h.update(np.int64([len(rows), len(cols)]).tobytes() + rows + cols)
+    return h.hexdigest()
+
+
+# block calls and the sha256 of them all (_traffic_digest) by (kernel, n,
+# mode): FIO n=512, leaf 1, r=6 streams runs of 4 blocks, Hankel n=256,
+# leaf 1, r=4 whole lines, and Hankel n=1024, leaf 4, r=1 whole lines above
+# the crossover
+TRAFFIC = {
+    (FioKernel, 512, "sampling"): (4, "c94dec7f8460cc62df64ac6e2ac10478dfb4e8"
+                                      "ca8041d8e90d1a561a2945bf7b"),
+    (FioKernel, 512, "streaming"): (128, "e319515c74aedb8a083a573f721acc156d"
+                                         "69a1eaf10393bcb55f4b168ffd95c2"),
+    (HankelKernel, 256, "sampling"): (2, "3360f341ebfa96281ab6c7eb01a917190b"
+                                         "29dfbddee73af69eb759e5b1aff19b"),
+    (HankelKernel, 256, "streaming"): (32, "ce3bd986c003c93fe70d17b8ec868394"
+                                           "aae02e9a8396d62612046f6ac5a228d4"),
+    (HankelKernel, 1024, "sampling"): (8, "8354497fa37f02d2faf4972538ba5b3f0"
+                                          "3b480dca092e7f5a38fde577d4090ff"),
+    (HankelKernel, 1024, "streaming"): (32, "fc01b191bf60931a2116add03209674"
+                                            "a279ca4a62d03e7cbe8faf6e8a818c29e")}
+
+
+@pytest.mark.parametrize("kernel, n, leaf, r", [
+    (FioKernel, 512, 1, 6), (HankelKernel, 256, 1, 4),
+    (HankelKernel, 1024, 4, 1)])
+@pytest.mark.parametrize("mode", ["sampling", "streaming"])
+def test_entry_oracle_traffic_is_frozen(kernel, n, leaf, r, mode):
+    # every block(rows, cols) call, in order: reading dense lines draws no
+    # random numbers, so the log is fixed by the reading rules alone
+    oracle = LoggingOracle(kernel(n))
+    factorize(oracle, make_partition(n, leaf), r, seed=0, mode=mode)
+    assert (len(oracle.log), _traffic_digest(oracle.log)) == TRAFFIC[
+        kernel, n, mode]
+
+
+def test_streaming_engine_calls_are_sampling_calls_row_then_column_wise():
+    # FIO n=1024, leaf 4, r=1: 16 x 16 blocks of side 64, four engine reads
+    # a block.  Streaming samples each block once by block row, as sampling
+    # does, and once more by block column, from the same per-block seed
+    n, m = 1024, 16
+    logs = []
+    for mode in ("sampling", "streaming"):
+        oracle = LoggingOracle(FioKernel(n))
+        factorize(oracle, make_partition(n, 4), 1, seed=0, mode=mode)
+        logs.append(oracle.log)
+    sampling, streaming = logs
+    assert len(sampling) == 4 * m * m and len(streaming) == 2 * len(sampling)
+    assert streaming[:len(sampling)] == sampling
+    by_column = [call for j in range(m) for i in range(m)
+                 for call in sampling[4 * (i * m + j):4 * (i * m + j + 1)]]
+    assert streaming[len(sampling):] == by_column
+
+
 def _peak_over_factor_bytes(build):
     """Traced peak of ``build()`` over the bytes of the factors it returns."""
     # warm up: a first factorization in a process also traces lazily
@@ -494,6 +596,19 @@ def test_streaming_peak_memory_near_factor_bytes(n, r):
     p = make_partition(n, 1)
     assert _peak_over_factor_bytes(partial(
         factorize, FioKernel(n), p, r, seed=0, mode="streaming")) <= 1.25
+
+
+def test_streaming_peak_memory_at_an_engine_geometry():
+    # FIO n=4096, leaf 16, r=4: side 256 above 32 r, so streaming samples
+    # each block through the engine, one block a run, and places it before
+    # the next is read.  The traced peak reads 1.70x the factors it returns;
+    # whole engine lines read 1.84x, and 2.18x if the last one is still held
+    # while the next is sampled
+    n, r = 4096, 4
+    p = make_partition(n, 16)
+    assert not at_dense_limit(p.mid_side, p.mid_side, r)
+    assert _peak_over_factor_bytes(partial(
+        factorize, FioKernel(n), p, r, seed=0, mode="streaming")) <= 1.78
 
 
 def test_sampling_peak_memory_near_factor_bytes(monkeypatch):
