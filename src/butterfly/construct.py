@@ -15,7 +15,7 @@ K otherwise (found by :func:`_locate` where a product spreads it).
   oracle on narrow blocks, :func:`_narrow`) -- :data:`CALL_WIDTH` rows of
   K a call (whole block rows, or K* of their identity columns), or in
   streaming a run of a block row or column (:data:`STREAM_RUN_SHARE`),
-  one stacked sketched (narrow: truncated) SVD a line or run;
+  one stacked sketched (:func:`_sketch`; narrow: truncated) SVD a line or run;
 * entry oracle above the dense limit -- the randomized sampling engine
   block by block, four reads a block, a line's or a run's results stacked;
 * operator oracle, wider blocks -- K and K* applied to block-diagonal
@@ -39,10 +39,11 @@ side.  Every unit of work is computed as it would be alone, and a slice of
 a stacked LAPACK call equals the call on that slice, so the factors are
 bit-identical for any CPU count.
 
-Randomness is derived per block from the master seed (spawn keys carry the
-block coordinates), so results are independent of the schedule: streaming
-refactors one block line at a time with O(n log n) peak memory and
-bit-identical factors, serially (see :data:`STREAM_RUN_SHARE`).
+Randomness is derived from the master seed by spawn keys (one sketch a
+factorization, engine samples by block, probes by node), so results are
+independent of the schedule: streaming refactors one block line at a time
+with O(n log n) peak memory and bit-identical factors, serially (see
+:data:`STREAM_RUN_SHARE`).
 """
 
 from __future__ import annotations
@@ -165,15 +166,12 @@ def _narrow(side, r) -> bool:
     return r + PROBE_OVERSAMPLING > side // 2
 
 
-def _compress_dense(ids, blocks, r, seed) -> LowRankApprox:
-    """Stacked rank-r triples of blocks ``ids`` read by :func:`_checked`."""
-    side = blocks.shape[-1]
-    if _narrow(side, r):
-        return truncated_svd(blocks, r)
-    width = r + PROBE_OVERSAMPLING
-    omega = [complex_normal(block_rng(seed, _SKETCH_DOMAIN, *b), (side, width))
-             for b in ids]
-    return sketched_svd(blocks, r, np.stack(omega))
+def _sketch(p: DyadicPartition, r: int, seed):
+    """The one Gaussian that sketches every dense middle block, which need
+    only be independent of the block it sketches (Halko, Martinsson and
+    Tropp 2011, sec. 10); ``None`` where blocks are truncated whole."""
+    return None if _narrow(p.mid_side, r) else complex_normal(
+        block_rng(seed, _SKETCH_DOMAIN), (p.mid_side, r + PROBE_OVERSAMPLING))
 
 
 def _sampled(read, ids, side, r, seed):
@@ -186,17 +184,21 @@ def _sampled(read, ids, side, r, seed):
         *((a.u0, a.sigma0, a.v0) for a in parts))))
 
 
-def _dense_lines(read, p, r, seed, step=0, column=False, whole_rows=True):
+def _dense_lines(read, p, r, seed, omega, step=0, column=False,
+                 whole_rows=True):
     """``(k, run, finish)`` for the blocks ``run`` (a slice) of each block
     row k of K in order, or with ``column`` of each block column, where
-    ``finish()`` gives their stacked rank-r triples.  A call reads ``step``
-    blocks of one line, or by default max(1, CALL_WIDTH // side) block rows,
-    as one :func:`_checked` view ``read(row_nodes, col_nodes)`` that only
-    its finishes hold.  Without ``whole_rows``, lines above the dense limit
-    go to :func:`_sampled`, call by call on the calling thread."""
+    ``finish()`` gives their stacked rank-r triples, sketched by ``omega``
+    (truncated if ``None``).  A call reads ``step`` blocks of one line, or
+    by default max(1, CALL_WIDTH // side) block rows, as one :func:`_checked`
+    view ``read(row_nodes, col_nodes)`` that only its finishes hold.
+    Without ``whole_rows``, lines above the dense limit go to
+    :func:`_sampled`, call by call on the calling thread."""
     m, side = p.mid_nodes, p.mid_side
     lines, step = (1, step) if step else (max(1, CALL_WIDTH // side), m)
     engine = not (whole_rows or at_dense_limit(side, side, r))
+    compress = (truncated_svd if omega is None
+                else partial(sketched_svd, omega=omega))
     for lo, first in product(range(0, m, lines), range(0, m, step)):
         ks, run = range(lo, min(lo + lines, m)), slice(first, first + step)
         js = range(m)[run]
@@ -204,9 +206,8 @@ def _dense_lines(read, p, r, seed, step=0, column=False, whole_rows=True):
         if engine:
             finishes = [_sampled(read, line, side, r, seed) for line in ids]
         else:
-            finishes = [partial(_compress_dense, line, blocks, r, seed)
-                        for line, blocks in zip(ids, read(js, ks).swapaxes(
-                            0, 1) if column else read(ks, js))]
+            finishes = [partial(compress, blocks, r) for blocks in (
+                read(js, ks).swapaxes(0, 1) if column else read(ks, js))]
         for k in ks:  # popped: a finish is held by its consumer alone
             yield k, run, finishes.pop(0)
 
@@ -248,7 +249,7 @@ def middle_factorization_sampling(entry, p: DyadicPartition, r: int, seed=0):
     check_seed(seed)
     check_rank(p, r)
     return _middle_level(p, r, _dense_lines(
-        partial(_read, entry, p), p, r, seed,
+        partial(_read, entry, p), p, r, seed, _sketch(p, r, seed),
         whole_rows=getattr(entry, "whole_rows", False)))
 
 
@@ -287,7 +288,7 @@ def middle_factorization_matvec(op, p: DyadicPartition, r: int, seed=0):
                             "operator oracle", f"middle block rows {nodes[0]} "
                             f"to {nodes[-1]}", nodes, col_nodes, side, side,
                             partial(_locate, op, p, True))
-        return _middle_level(p, r, _dense_lines(rows_of_k, p, r, seed))
+        return _middle_level(p, r, _dense_lines(rows_of_k, p, r, seed, None))
     width = r + PROBE_OVERSAMPLING
     col_probe, row_probe = (
         np.stack([complex_normal(block_rng(seed, domain, j), (side, width))
@@ -411,13 +412,15 @@ def _factorize_streaming(entry, p, r, seed) -> ButterflyFactors:
     step = m if whole_rows else max(1, held // (STREAM_RUN_SHARE * side**2))
     weights = np.empty((m, m, r))
     slab = np.empty((1, side, m, r), dtype=np.complex128)
+    omega = _sketch(p, r, seed)
     sides = []
     for column in (False, True):
         levels = [np.empty(s, np.complex128) for _, s in chain_geometry(p, r)]
         # the u side takes block row k, the v side block column k, a run
         # of blocks a call, each placed and dropped before the next is read
         for k, run, finish in _dense_lines(partial(_read, entry, p), p, r,
-                                           seed, step, column, whole_rows):
+                                           seed, omega, step, column,
+                                           whole_rows):
             if column:
                 _place_line(finish(), v=slab[0][:, run].swapaxes(0, 1))
             else:

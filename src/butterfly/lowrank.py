@@ -181,9 +181,10 @@ def at_dense_limit(m: int, n: int, r: int) -> bool:
 
 
 def sketched_svd(z: np.ndarray, r: int, omega: np.ndarray) -> LowRankApprox:
-    """Rank-r SVD of dense blocks from their Gaussian sketch ``omega``
-    (..., n, l >= r) with one power step (Halko, Martinsson and Tropp 2011,
-    Alg. 4.4): Q = orth(Z omega), P = orth(Z* Q), Z P = Q' R, SVD of R."""
+    """Rank-r SVD of dense blocks from their Gaussian sketch ``omega``, one
+    (n, l >= r) test matrix broadcast over the stack or one a block, with one
+    power step (Halko, Martinsson and Tropp 2011, Alg. 4.4): Q = orth(Z
+    omega), P = orth(Z* Q), Z P = Q' R, SVD of R."""
     q, _ = np.linalg.qr(z @ omega)
     q_row, _ = np.linalg.qr(_adjoint(_adjoint(q) @ z))
     q_col, mid = np.linalg.qr(z @ q_row)

@@ -72,6 +72,28 @@ def test_run_bench_single_row():
     assert row.nnz_total > 0 and not row.samples_clamped
 
 
+@pytest.mark.parametrize("kernel, mode", [("fio", "sampling"),
+                                          ("composition", "matvec")])
+def test_stored_dense_baseline_beside_the_on_the_fly_one(monkeypatch, kernel,
+                                                          mode):
+    # speedup divides the on-the-fly baseline, which moves with the cost of
+    # an entry; the stored-dense one is a matvec against the materialized
+    # matrix up to DENSE_CAP, NaN above, in the JSON and not in the CSV
+    cfg = BenchConfig(kernel=kernel, n_list=(64,), rank_list=(2,), seed=0,
+                      mode=mode, target_leaf=1)
+    report = run_bench(cfg)
+    row = report.rows[0]
+    assert row.error is None and row.t_stored_dense_s > 0
+    assert row.speedup == row.t_dense_s / row.t_apply_s
+    assert json.loads(report.to_json())[0]["t_stored_dense_s"] == \
+        row.t_stored_dense_s
+    assert "stored" not in report.to_csv()
+    monkeypatch.setattr(bench, "DENSE_CAP", 32)
+    row = run_bench(cfg).rows[0]
+    assert row.error is None and math.isnan(row.t_stored_dense_s)
+    assert row.t_dense_s > 0
+
+
 def test_run_bench_clamps_sample_count():
     cfg = BenchConfig(kernel="fio", n_list=(64,), rank_list=(2,), seed=0,
                       sample_count=500)

@@ -17,9 +17,10 @@ from butterfly import (DenseOracle, FioKernel, HankelKernel, OracleError,
                        middle_factorization_sampling, recursive_factor_u,
                        recursive_factor_v, truncated_svd)
 from butterfly import _pool, construct, lowrank
-from butterfly.bench import build_operator
+from butterfly.bench import (RowSampledReference, build_operator,
+                             estimate_eps_a, eps_rng)
 from butterfly.factors import TransferFactor, chain_geometry
-from butterfly.lowrank import at_dense_limit, floored_inverse
+from butterfly.lowrank import at_dense_limit, floored_inverse, sketched_svd
 
 from conftest import complex_gaussian, random_exact_chain, use_workers
 
@@ -352,6 +353,62 @@ def test_batched_dense_middle_matches_per_block_reference(kernel, n, r):
     assert np.array_equal(v_h.blocks, v.reshape(m, 1, 1, side, m * r))
     assert np.array_equal(middle.weights, w)
     assert np.count_nonzero(middle.weights == 0) == np.count_nonzero(w == 0)
+
+
+def test_sketched_dense_middle_matches_per_block_reference():
+    # sketched lines (side 32, r + 5 = 11 at most half a side) share one
+    # Gaussian drawn for the factorization: every slice of a line's stacked
+    # call must equal the sketch of that block alone with it, bit for bit
+    n, r, seed = 512, 6, 5
+    p = make_partition(n, 1)
+    m, side = p.mid_nodes, p.mid_side
+    omega = construct._sketch(p, r, seed)
+    assert omega.shape == (side, r + lowrank.PROBE_OVERSAMPLING)
+    ker = FioKernel(n)
+    u = np.zeros((m, side, m, r), dtype=complex)
+    v = np.zeros((m, side, m, r), dtype=complex)
+    w = np.zeros((m, m, r))
+    for i in range(m):
+        for j in range(m):
+            rows, cols = (np.arange(x * side, (x + 1) * side) for x in (i, j))
+            apx = sketched_svd(ker.block(rows, cols), r, omega)
+            u[i, :, j, :] = apx.u0 * apx.sigma0
+            v[j, :, i, :] = apx.v0 * apx.sigma0
+            w[i, j] = floored_inverse(apx.sigma0)
+    u_h, middle, v_h = middle_factorization_sampling(ker, p, r, seed=seed)
+    assert np.array_equal(u_h.blocks, u.reshape(m, 1, 1, side, m * r))
+    assert np.array_equal(v_h.blocks, v.reshape(m, 1, 1, side, m * r))
+    assert np.array_equal(middle.weights, w)
+
+
+@pytest.mark.parametrize("mode", ["sampling", "streaming"])
+def test_one_sketch_is_drawn_per_factorization(monkeypatch, mode):
+    # streaming sketches both sides' lines with the same draw
+    draws = []
+
+    def counted(rng, shape):
+        draws.append(shape)
+        return lowrank.complex_normal(rng, shape)
+
+    monkeypatch.setattr(construct, "complex_normal", counted)
+    factorize(FioKernel(512), make_partition(512, 1), 6, seed=0, mode=mode)
+    assert draws == [(32, 11)]
+
+
+@pytest.mark.parametrize("n, r", [(512, 6), (1024, 4)])
+def test_a_shared_sketch_is_as_accurate_as_truncation(monkeypatch, n, r):
+    # one Gaussian for every block costs no accuracy against truncating
+    # each block whole: eps_a read 1.0000x at both geometries (and n=4096)
+    p, ker = make_partition(n, 1), FioKernel(n)
+    assert not construct._narrow(p.mid_side, r)
+
+    def eps_a():
+        f = factorize(ker, p, r, seed=0)
+        return estimate_eps_a(f, RowSampledReference(ker), 256, eps_rng(0, 0))
+
+    sketched = eps_a()
+    monkeypatch.setattr(construct, "_narrow", lambda side, r: True)
+    assert sketched <= 1.01 * eps_a()
 
 
 class CountingOracle:

@@ -33,17 +33,71 @@ def test_fio_entry_hand_values():
     assert block[0, 1] == pytest.approx(-1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("n", [512, 1024])
+def _fio_phase_error(n, rows, got):
+    """Largest distance of ``got`` (rows x all n columns) from
+    exp(2*pi*i*(x*xi + c(x)*|xi|)), c(x) evaluated in double as the kernel
+    does, the phase, its reduction and cos/sin in long double."""
+    i = np.asarray(rows)[:, None]
+    c = (2.0 + np.sin(2.0 * np.pi * (i / n))) / 8.0
+    xi = np.arange(n, dtype=np.longdouble) - n // 2
+    phase = np.longdouble(1) * i * xi / n + np.longdouble(1) * c * np.abs(xi)
+    phase -= np.rint(phase)
+    angle = 8 * np.arctan(np.longdouble(1)) * phase
+    return float(np.hypot(got.real - np.cos(angle),
+                          got.imag - np.sin(angle)).max())
+
+
+@pytest.mark.parametrize("n", [512, 1024, 16384])
 def test_fio_block_matches_complex_exponential(n):
-    # filled from cos and sin of the real phase; equality to the last bit
-    # depends on libm, so agreement is checked to 1e-15
-    x = np.arange(n, dtype=float)[:, None] / n
+    # the kernel reduces each phase exactly before its cosine and sine, so
+    # it must be no further from the extended-precision value than the
+    # direct formula, whose phase in double loses about n * 1e-16 (7.6e-13
+    # at n=1024, 1.2e-11 at n=16384), and within 1e-14 of it (1.2e-15 and
+    # 3.8e-15 on the same entries)
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double here")
+    rows = np.arange(0, n, 1 if n <= 1024 else n // 64)
+    x = rows[:, None] / n
     xi = np.arange(n, dtype=float)[None, :] - n / 2.0
     c = (2.0 + np.sin(2.0 * np.pi * x)) / 8.0
-    want = np.exp(2j * np.pi * (x * xi + c * np.abs(xi)))
-    got = FioKernel(n).block(np.arange(n), np.arange(n))
-    assert got.dtype == np.complex128 and got.shape == (n, n)
-    assert np.abs(got - want).max() <= 1e-15
+    direct = np.exp(2j * np.pi * (x * xi + c * np.abs(xi)))
+    got = FioKernel(n).block(rows, np.arange(n))
+    assert got.dtype == np.complex128 and got.shape == (rows.size, n)
+    error = _fio_phase_error(n, rows, got)
+    assert error <= _fio_phase_error(n, rows, direct) and error <= 1e-14
+
+
+@pytest.mark.parametrize("n", [512, 1024, 16384])
+def test_fio_entries_do_not_depend_on_the_block(n):
+    # each entry is a function of (i, j, n) alone: any row and column set
+    # reads the bits of one reference block, so streaming runs, sampled
+    # lines and engine samples see the same matrix
+    side = make_partition(n, 1).mid_side
+    ker, rng = FioKernel(n), np.random.default_rng(n)
+    rows = np.arange(n // 3, n // 3 + 4 * side)
+    cols = np.arange(n // 2 - 2 * side, n // 2 + 2 * side)  # xi = 0 inside
+    ref = ker.block(rows, cols)
+
+    def check(r, c):
+        assert ker.block(rows[r], cols[c]).tobytes() == ref[r][:, c].tobytes()
+
+    every = slice(None)
+    for lo in range(0, 4 * side, 16):  # row slices
+        check(slice(lo, lo + 16), every)
+    for blocks in (1, 2, 4):  # runs of a block row and of a block column
+        for at in range(0, 4 - blocks + 1):
+            check(slice(side), slice(at * side, (at + blocks) * side))
+            check(slice(at * side, (at + blocks) * side), slice(side))
+    for at in range(4):  # engine samples: scattered rows or columns
+        block = np.arange(at * side, (at + 1) * side)
+        picks = np.sort(rng.choice(side, 12, replace=False))
+        check(np.arange(4 * side), block[picks])
+        check(block[picks], block)
+    check(every, rng.permutation(4 * side)[:40])  # unsorted, repeated below
+    check(every, np.array([5, 5, 3 * side, 1]))
+    for lo, hi in ((side - 3, 3 * side + 5), (2 * side - 1, 2 * side + 1)):
+        check(every, slice(lo, hi))  # straddling xi = 0
+    check(every, np.sort(rng.choice(4 * side, 30, replace=False)))
 
 
 def test_fio_unimodular(rng):

@@ -127,13 +127,16 @@ def test_sketched_svd_stack_equals_slices_bitwise(rng):
     side, m, r = 24, 5, 4
     line = complex_gaussian(rng, (side, m * side))
     blocks = line.reshape(side, m, side).swapaxes(0, 1)
+    # (one test matrix per block, or one broadcast over the stack)
     omega = complex_gaussian(rng, (m, side, r + PROBE_OVERSAMPLING))
-    a = sketched_svd(blocks, r, omega)
-    for b in range(m):
-        one = sketched_svd(np.ascontiguousarray(blocks[b]), r, omega[b])
-        assert np.array_equal(a.u0[b], one.u0)
-        assert np.array_equal(a.sigma0[b], one.sigma0)
-        assert np.array_equal(a.v0[b], one.v0)
+    for shared in (False, True):
+        a = sketched_svd(blocks, r, omega[0] if shared else omega)
+        for b in range(m):
+            one = sketched_svd(np.ascontiguousarray(blocks[b]), r,
+                               omega[0 if shared else b])
+            assert np.array_equal(a.u0[b], one.u0)
+            assert np.array_equal(a.sigma0[b], one.sigma0)
+            assert np.array_equal(a.v0[b], one.v0)
 
 
 @pytest.mark.parametrize("n", [4096, 16384])  # middle sides 64 and 128
